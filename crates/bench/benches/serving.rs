@@ -1,14 +1,12 @@
 //! Serving-throughput benchmark: requests/sec and tail latency of the
-//! `InferenceServer` behind its two TCP front-ends, across the
-//! front-end × worker-pool × micro-batch × pipeline-depth grid.
+//! `InferenceServer` behind its [`MuxServer`] TCP front-end, across the
+//! worker-pool × micro-batch × pipeline-depth grid.
 //!
 //! Eight concurrent edge clients connect over real localhost sockets to one
-//! shared server. Against the non-blocking [`MuxServer`] each client runs
-//! `infer_pipelined` with depth ∈ {1, 8}, so the poller sees one socket per
-//! client carrying up to eight in-flight requests and the worker pool can
-//! coalesce across connections; the classic thread-per-connection
-//! [`TcpServer`] is measured at the same worker/batch points as the
-//! baseline rows. Besides the criterion timings, the bench prints one
+//! shared server. Each client runs `infer_pipelined` with depth ∈ {1, 8},
+//! so the poller sees one socket per client carrying up to eight in-flight
+//! requests and the worker pool can coalesce across connections. Besides
+//! the criterion timings, the bench prints one
 //! summary line per grid point — including the mean micro-batch size and
 //! the share of p50 latency spent queue-waiting — and dumps the whole grid
 //! to `BENCH_serving.json` at the repository root, so the
@@ -26,8 +24,7 @@
 //! end to end by retries plus the edge-local fallback.
 //!
 //! `MTLSPLIT_BENCH_QUICK=1` selects the reduced CI grid (workers = 2,
-//! max_batch = 8, both pipeline depths, plus the baseline and both
-//! resilience rows).
+//! max_batch = 8, both pipeline depths, plus both resilience rows).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -38,7 +35,7 @@ use mtlsplit_nn::{Flatten, Layer, Linear, Relu, Sequential};
 use mtlsplit_serve::{
     BreakerConfig, EdgeClient, ErrorCode, FaultPlan, FaultyTransport, InferenceServer,
     LoopbackTransport, MuxConfig, MuxServer, ResilientClient, RetryPolicy, ServeError, ServedVia,
-    ServerConfig, SplitRequests, SplitRule, SplitVariant, TcpServer, TcpTransport,
+    ServerConfig, SplitRequests, SplitRule, SplitVariant, TcpTransport,
 };
 use mtlsplit_split::{Precision, TensorCodec};
 use mtlsplit_tensor::{StdRng, Tensor};
@@ -50,8 +47,7 @@ const ROWS_PER_REQUEST: usize = 4;
 const CLIENTS: usize = 8;
 
 /// The full benchmarked grid: every worker count × micro-batch limit, each
-/// behind the mux at both pipeline depths plus the thread-per-connection
-/// baseline.
+/// at both pipeline depths.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const MAX_BATCHES: [usize; 2] = [1, 8];
 const PIPELINE_DEPTHS: [usize; 2] = [1, 8];
@@ -108,24 +104,6 @@ fn heads(rng: &mut StdRng) -> Vec<Box<dyn Layer>> {
     ]
 }
 
-/// Which TCP front-end serves a grid point.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Front {
-    /// The non-blocking multiplexed poller ([`MuxServer`]).
-    Mux,
-    /// The classic thread-per-connection baseline ([`TcpServer`]).
-    ThreadPerConn,
-}
-
-impl Front {
-    fn name(self) -> &'static str {
-        match self {
-            Front::Mux => "mux",
-            Front::ThreadPerConn => "thread_per_conn",
-        }
-    }
-}
-
 /// One measured serving session.
 struct DriveOutcome {
     requests: u64,
@@ -157,10 +135,9 @@ impl DriveOutcome {
     }
 }
 
-/// One grid point: which front-end, pool size, batch limit and per-client
-/// pipeline depth produced a [`DriveOutcome`].
+/// One grid point: which pool size, batch limit and per-client pipeline
+/// depth produced a [`DriveOutcome`].
 struct GridRow {
-    front: Front,
     workers: usize,
     max_batch: usize,
     depth: usize,
@@ -168,10 +145,10 @@ struct GridRow {
 }
 
 /// Runs one full serving session over real localhost TCP on a fresh
-/// negotiating server behind the requested front-end. With `depth > 1` each
-/// client keeps that many requests in flight on its one socket via
-/// `infer_pipelined`; with `depth == 1` it round-trips sequentially.
-fn drive(front: Front, workers: usize, max_batch: usize, depth: usize) -> DriveOutcome {
+/// negotiating server behind the mux. With `depth > 1` each client keeps
+/// that many requests in flight on its one socket via `infer_pipelined`;
+/// with `depth == 1` it round-trips sequentially.
+fn drive(workers: usize, max_batch: usize, depth: usize) -> DriveOutcome {
     let mut rng = StdRng::seed_from(1);
     // A negotiating server: the full-backbone split is the default, and a
     // "shallow" variant keeps the final activation server-side as a tail.
@@ -192,22 +169,8 @@ fn drive(front: Front, workers: usize, max_batch: usize, depth: usize) -> DriveO
             .with_workers(workers),
     ));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    enum FrontHandle {
-        Mux(MuxServer),
-        Thread(TcpServer),
-    }
-    let (handle, addr) = match front {
-        Front::Mux => {
-            let mux = MuxServer::spawn(Arc::clone(&server), listener).expect("spawn mux");
-            let addr = mux.local_addr();
-            (FrontHandle::Mux(mux), addr)
-        }
-        Front::ThreadPerConn => {
-            let tcp = TcpServer::spawn(Arc::clone(&server), listener).expect("spawn tcp");
-            let addr = tcp.local_addr();
-            (FrontHandle::Thread(tcp), addr)
-        }
-    };
+    let mux = MuxServer::spawn(Arc::clone(&server), listener).expect("spawn mux");
+    let addr = mux.local_addr();
     let per_client = requests_per_client();
     let start = Instant::now();
     let drivers: Vec<_> = (0..CLIENTS)
@@ -247,10 +210,7 @@ fn drive(front: Front, workers: usize, max_batch: usize, depth: usize) -> DriveO
     }
     let elapsed_s = start.elapsed().as_secs_f64();
     let metrics = server.metrics();
-    match handle {
-        FrontHandle::Mux(mux) => mux.stop(),
-        FrontHandle::Thread(tcp) => tcp.stop(),
-    }
+    mux.stop();
     assert_eq!(metrics.errors, 0, "bench requests must not error");
     assert_eq!(metrics.shed, 0, "the grid runs inside the high-water mark");
     assert_eq!(
@@ -524,12 +484,11 @@ fn dump_json(rows: &[GridRow], overload: &OverloadOutcome, faulty: &FaultOutcome
     for (index, row) in rows.iter().enumerate() {
         let outcome = &row.outcome;
         json.push_str(&format!(
-            "    {{\"front\": \"{}\", \"workers\": {}, \"max_batch\": {}, \
+            "    {{\"workers\": {}, \"max_batch\": {}, \
              \"pipeline_depth\": {}, \"requests\": {}, \"requests_per_second\": {:.1}, \
              \"p50_latency_ms\": {:.4}, \"p95_latency_ms\": {:.4}, \
              \"mean_batch_size\": {:.3}, \"queue_wait_share_p50\": {:.4}, \
              {}, {}, {}, {}, {}}}{}\n",
-            row.front.name(),
             row.workers,
             row.max_batch,
             row.depth,
@@ -585,22 +544,17 @@ fn dump_json(rows: &[GridRow], overload: &OverloadOutcome, faulty: &FaultOutcome
 }
 
 /// The measured grid for the current mode: in quick mode one worker/batch
-/// point at both depths plus its baseline; in full mode the whole sweep.
-fn grid_points() -> Vec<(Front, usize, usize, usize)> {
-    let mut points = Vec::new();
+/// point at both depths; in full mode the whole sweep.
+fn grid_points() -> Vec<(usize, usize, usize)> {
     if quick_mode() {
-        for &depth in &PIPELINE_DEPTHS {
-            points.push((Front::Mux, 2, 8, depth));
-        }
-        points.push((Front::ThreadPerConn, 2, 8, 1));
-        return points;
+        return PIPELINE_DEPTHS.iter().map(|&depth| (2, 8, depth)).collect();
     }
+    let mut points = Vec::new();
     for &workers in &WORKER_COUNTS {
         for &max_batch in &MAX_BATCHES {
             for &depth in &PIPELINE_DEPTHS {
-                points.push((Front::Mux, workers, max_batch, depth));
+                points.push((workers, max_batch, depth));
             }
-            points.push((Front::ThreadPerConn, workers, max_batch, 1));
         }
     }
     points
@@ -610,28 +564,24 @@ fn bench_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_tcp");
     group.sample_size(10);
     let mut rows = Vec::new();
-    for (front, workers, max_batch, depth) in grid_points() {
+    for (workers, max_batch, depth) in grid_points() {
         // Criterion-time only the headline points (runtime: the full grid
-        // is 18 sessions); every point still gets one clean measured run
+        // is 12 sessions); every point still gets one clean measured run
         // for the summary line and the JSON dump.
         if workers == 2 && max_batch == 8 {
             group.bench_with_input(
-                BenchmarkId::new(
-                    format!("{}_workers_{workers}_batch_{max_batch}", front.name()),
-                    depth,
-                ),
-                &(front, workers, max_batch, depth),
-                |bencher, &(f, w, mb, d)| {
-                    bencher.iter(|| drive(f, w, mb, d));
+                BenchmarkId::new(format!("mux_workers_{workers}_batch_{max_batch}"), depth),
+                &(workers, max_batch, depth),
+                |bencher, &(w, mb, d)| {
+                    bencher.iter(|| drive(w, mb, d));
                 },
             );
         }
-        let outcome = drive(front, workers, max_batch, depth);
+        let outcome = drive(workers, max_batch, depth);
         println!(
-            "serving front={} workers={workers} max_batch={max_batch} depth={depth}: \
+            "serving workers={workers} max_batch={max_batch} depth={depth}: \
              {:.0} req/s, p50 {:.3} ms, p95 {:.3} ms, mean batch {:.2}, \
              queue-wait share {:.2} ({} requests)",
-            front.name(),
             outcome.requests_per_second(),
             outcome.p50_latency_s * 1e3,
             outcome.p95_latency_s * 1e3,
@@ -640,7 +590,6 @@ fn bench_serving(c: &mut Criterion) {
             outcome.requests
         );
         rows.push(GridRow {
-            front,
             workers,
             max_batch,
             depth,
@@ -651,14 +600,11 @@ fn bench_serving(c: &mut Criterion) {
 
     // The continuous-batching claim, asserted where the grid makes it
     // checkable: with eight clients each eight deep, the pool must coalesce
-    // well past the half-batch mark that thread-per-connection never
-    // reaches at these request sizes.
+    // well past the half-batch mark.
     let deep_row = rows
         .iter()
-        .find(|row| {
-            row.front == Front::Mux && row.workers == 2 && row.max_batch == 8 && row.depth == 8
-        })
-        .expect("the depth-8 mux row is always measured");
+        .find(|row| row.workers == 2 && row.max_batch == 8 && row.depth == 8)
+        .expect("the depth-8 row is always measured");
     assert!(
         deep_row.outcome.mean_batch_size > 4.0,
         "pipelined depth 8 must batch past 4 on average, got {:.2}",

@@ -105,6 +105,10 @@ pub static SERVE_BREAKER_TRIPS: Counter = Counter::new();
 /// truncations and refused reconnects combined).
 pub static SERVE_FAULTS_INJECTED: Counter = Counter::new();
 
+/// Serving-worker panics caught mid-batch. Each one answered its batch with
+/// typed `Internal` errors and left the worker alive on a fresh plan.
+pub static SERVE_WORKER_PANICS: Counter = Counter::new();
+
 /// A point-in-time copy of every global workload counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CountersSnapshot {
@@ -134,6 +138,8 @@ pub struct CountersSnapshot {
     pub serve_breaker_trips: u64,
     /// See [`SERVE_FAULTS_INJECTED`].
     pub serve_faults_injected: u64,
+    /// See [`SERVE_WORKER_PANICS`].
+    pub serve_worker_panics: u64,
 }
 
 /// Reads every global counter at once.
@@ -152,6 +158,7 @@ pub fn counters() -> CountersSnapshot {
         serve_deadlines_exhausted: SERVE_DEADLINES_EXHAUSTED.get(),
         serve_breaker_trips: SERVE_BREAKER_TRIPS.get(),
         serve_faults_injected: SERVE_FAULTS_INJECTED.get(),
+        serve_worker_panics: SERVE_WORKER_PANICS.get(),
     }
 }
 

@@ -361,7 +361,7 @@ impl EdgeClient {
         }
     }
 
-    /// Negotiates this connection's split point (protocol v4 `Hello`).
+    /// Negotiates this connection's split point (a `Hello` frame).
     ///
     /// Announces the client's device class and latency budget; the server
     /// answers with the [`SplitAssignment`] every subsequent infer request
@@ -415,7 +415,7 @@ impl EdgeClient {
     }
 
     /// Scrapes a live [`ServeMetrics`] snapshot from the server over the
-    /// wire (protocol v3 `MetricsRequest`).
+    /// wire (a `MetricsRequest` frame).
     ///
     /// # Errors
     ///
@@ -607,7 +607,7 @@ impl EdgeClient {
                 ErrorCode::ShuttingDown | ErrorCode::Evicted => Retryability::Reconnect,
                 // Backpressure: same connection, try again after backoff.
                 ErrorCode::Overloaded => Retryability::Resend,
-                ErrorCode::App | ErrorCode::Protocol => Retryability::Fatal,
+                ErrorCode::App | ErrorCode::Protocol | ErrorCode::Internal => Retryability::Fatal,
             },
             _ => Retryability::Fatal,
         }
@@ -617,7 +617,8 @@ impl EdgeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{InferenceServer, ServerConfig, TcpServer};
+    use crate::mux::MuxServer;
+    use crate::server::{InferenceServer, ServerConfig};
     use crate::transport::{LoopbackTransport, TcpTransport};
     use mtlsplit_nn::{Flatten, Linear, Relu, Sequential};
     use mtlsplit_split::Precision;
@@ -704,8 +705,8 @@ mod tests {
     fn tcp_round_trip_matches_loopback() {
         let (ref_backbone, ref_heads, server, served_backbone) = split_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(
             Box::new(served_backbone),
             TensorCodec::new(Precision::Float32),
@@ -721,22 +722,23 @@ mod tests {
             assert!(output.allclose(&direct, 1e-6));
         }
         drop(client);
-        tcp.stop();
+        mux.stop();
     }
 
     #[test]
     fn tcp_stop_returns_even_with_a_client_still_connected() {
         let (_, _, server, _) = split_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(Box::new(Sequential::new()), TensorCodec::default(), {
             Box::new(transport)
         });
         client.ping().unwrap();
-        // Stop without dropping the client: the server severs the socket
-        // instead of waiting for a disconnect that never comes.
-        tcp.stop();
+        // Stop without dropping the client: the server says goodbye and
+        // severs the socket instead of waiting for a disconnect that never
+        // comes.
+        mux.stop();
         assert!(client.ping().is_err(), "socket must be closed after stop");
     }
 
@@ -768,8 +770,8 @@ mod tests {
     fn metrics_scrape_over_tcp_matches_the_server_snapshot() {
         let (_, _, server, served_backbone) = split_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(
             Box::new(served_backbone),
             TensorCodec::new(Precision::Float32),
@@ -793,7 +795,7 @@ mod tests {
         assert_eq!(scraped.decode, local.decode);
         assert_eq!(scraped.queue_wait, local.queue_wait);
         drop(client);
-        tcp.stop();
+        mux.stop();
     }
 
     /// Builds a split-capable server: variant 0 expects the full backbone
@@ -878,8 +880,8 @@ mod tests {
     fn negotiated_split_over_tcp_is_bitwise_monolithic() {
         let (ref_backbone, edge_prefix, ref_heads, server) = negotiated_fixture();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp = TcpServer::spawn(Arc::clone(&server), listener).unwrap();
-        let transport = TcpTransport::connect(tcp.local_addr()).unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        let transport = TcpTransport::connect(mux.local_addr()).unwrap();
         let mut client = EdgeClient::new(
             Box::new(edge_prefix),
             TensorCodec::new(Precision::Float32),
@@ -896,7 +898,7 @@ mod tests {
             assert_eq!(output, &direct, "negotiated TCP split diverged");
         }
         drop(client);
-        tcp.stop();
+        mux.stop();
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub enum ServeError {
     },
     /// The server reported a failure through a typed error frame.
     Remote {
-        /// Machine-readable classification ([`ErrorCode::App`] for errors
-        /// from peers older than protocol v5).
+        /// Machine-readable classification ([`ErrorCode::App`] when the
+        /// body carries no known code byte).
         code: ErrorCode,
         /// The server's error message.
         message: String,

@@ -17,7 +17,7 @@
 //!   Request bodies carry the exact [`mtlsplit_split::WirePayload`]
 //!   encoding, so the simulator's byte accounting and the real socket agree
 //!   bit for bit, and the checksum rejects any corrupted frame with a typed
-//!   error.
+//!   error. Exactly one protocol version, [`VERSION`], is accepted.
 //! * [`Transport`] — one synchronous round-trip. [`TcpTransport`] speaks to
 //!   a real socket; [`LoopbackTransport`] calls the server in-process and
 //!   charges a [`mtlsplit_split::ChannelModel`] for every frame, keeping
@@ -26,11 +26,12 @@
 //!   [`ServerConfig::workers`] worker threads, each running the immutable
 //!   `Layer::infer` path; a bounded queue with adaptive micro-batching
 //!   feeds them, plus [`ServeMetrics`] (throughput, p50/p95/p99 latency,
-//!   wire bytes). [`MuxServer`] is its non-blocking multiplexed TCP
-//!   front-end — one poller thread drives every connection through a
-//!   readiness loop with per-connection pipelining, cross-connection
-//!   batching and `Overloaded` admission control — while [`TcpServer`]
-//!   keeps the classic thread-per-connection design as a baseline.
+//!   wire bytes). A worker panic mid-batch answers that batch with typed
+//!   `Internal` errors and leaves the worker serving.
+//! * [`MuxServer`] — the one TCP front-end: a single poller thread drives
+//!   every connection through a readiness loop with per-connection
+//!   pipelining, cross-connection batching and `Overloaded` admission
+//!   control.
 //! * [`EdgeClient`] — the on-device half. Every request runs under a
 //!   [`RetryPolicy`]: optional per-request deadline budget (enforced as
 //!   socket timeouts too), reconnect-and-resend with capped exponential
@@ -105,15 +106,14 @@ pub use client::{ClientStats, EdgeClient, PipelinedOutcomes, RetryPolicy};
 pub use error::{Result, ServeError};
 pub use fault::{FaultPlan, FaultStats, FaultyTransport};
 pub use frame::{
-    ErrorCode, Frame, FrameAssembler, OpCode, Received, DEFAULT_MAX_BODY_BYTES, ERROR_CODE_VERSION,
-    HEADER_BYTES, HELLO_VERSION, MAGIC, MIN_VERSION, VERSION,
+    ErrorCode, Frame, FrameAssembler, OpCode, Received, DEFAULT_MAX_BODY_BYTES, HEADER_BYTES,
+    MAGIC, VERSION,
 };
 pub use metrics::{PhaseStats, ResilienceCounters, ServeMetrics, SplitRequests};
 pub use mux::{MuxConfig, MuxServer};
 pub use policy::{BreakerConfig, BreakerState, ResilientClient, ResilientStats, Served, ServedVia};
 pub use server::{
-    InferenceServer, ServerConfig, SessionState, SplitRule, SplitVariant, TcpServer,
-    MAX_DEFAULT_WORKERS,
+    InferenceServer, ServerConfig, SessionState, SplitRule, SplitVariant, MAX_DEFAULT_WORKERS,
 };
 pub use transport::{LoopbackTransport, TcpTransport, Transport};
 pub use wire::{HelloRequest, SplitAssignment};

@@ -1,15 +1,13 @@
 //! Non-blocking multiplexed TCP front-end: one poller thread, many
 //! connections, zero threads per socket.
 //!
-//! [`MuxServer`] replaces the thread-per-connection [`crate::TcpServer`]
-//! design on the serving hot path. A single poller thread drives every
-//! accepted socket through a readiness loop (the crate's private
-//! `readiness` module, a `poll(2)` wrapper with a portable fallback):
-//! sockets are non-blocking,
-//! each connection owns a small state machine — an incremental
-//! [`FrameAssembler`] for partial reads and an outbox buffer for partial
-//! writes — and inference work is handed to the shared
-//! [`InferenceServer`] worker pool without ever blocking the poller.
+//! [`MuxServer`] is the crate's TCP front-end. A single poller thread
+//! drives every accepted socket through a readiness loop (the crate's
+//! private `readiness` module, a `poll(2)` wrapper with a portable
+//! fallback): sockets are non-blocking, each connection owns a small state
+//! machine — an incremental [`FrameAssembler`] for partial reads and an
+//! outbox buffer for partial writes — and inference work is handed to the
+//! shared [`InferenceServer`] worker pool without ever blocking the poller.
 //!
 //! Three properties fall out of this shape:
 //!
@@ -116,12 +114,9 @@ impl MuxConfig {
     }
 }
 
-/// The multiplexed TCP front-end for an [`InferenceServer`].
-///
-/// Mirrors the [`crate::TcpServer`] surface (`spawn` / `local_addr` /
-/// `stop`) so the two front-ends are drop-in interchangeable; the
-/// difference is entirely inside: one poller thread instead of one thread
-/// per connection.
+/// The multiplexed TCP front-end for an [`InferenceServer`]: `spawn` it on
+/// a listener, read its `local_addr`, `stop` it to say goodbye to every
+/// open connection. One poller thread serves every connection.
 pub struct MuxServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -457,8 +452,9 @@ impl MuxLoop {
                 Ok(None) => return true,
                 Ok(Some(Received::Frame(frame))) => self.handle_frame(index, frame),
                 Ok(Some(Received::Rejected { request_id, error })) => {
-                    // Same contract as the blocking front-end: recoverable
-                    // rejections get a typed reply, the stream lives on.
+                    // Recoverable rejections (unsupported version, bad
+                    // checksum, unknown op) get a typed reply, the stream
+                    // lives on.
                     self.server.recorder().misc().record_error();
                     let reply =
                         Frame::error_coded(request_id, ErrorCode::Protocol, &error.to_string());

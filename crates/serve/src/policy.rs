@@ -301,7 +301,7 @@ impl ResilientClient {
         !matches!(
             err,
             ServeError::Remote {
-                code: ErrorCode::App | ErrorCode::Protocol,
+                code: ErrorCode::App | ErrorCode::Protocol | ErrorCode::Internal,
                 ..
             } | ServeError::Malformed { .. }
                 | ServeError::Split(_)

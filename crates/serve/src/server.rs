@@ -18,7 +18,8 @@
 //! worker records into its own lock-free shard, so the request path takes
 //! no global lock at all.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -30,7 +31,7 @@ use mtlsplit_split::{Precision, TensorCodec, WirePayload};
 use mtlsplit_tensor::{Parallelism, Tensor};
 
 use crate::error::{Result, ServeError};
-use crate::frame::{ErrorCode, Frame, OpCode, Received, DEFAULT_MAX_BODY_BYTES, HELLO_VERSION};
+use crate::frame::{ErrorCode, Frame, OpCode, DEFAULT_MAX_BODY_BYTES};
 use crate::metrics::{MetricsRecorder, ServeMetrics, WorkerShard};
 use crate::mux::{Completion, ConnToken};
 use crate::readiness::WakeHandle;
@@ -136,10 +137,11 @@ pub struct ServerConfig {
     /// workers over large heads. Kernel results are bit-identical whatever
     /// the value.
     pub parallelism: Parallelism,
-    /// How long a connection thread waits for the next byte from its client
-    /// before evicting it (typed `Error { code: Evicted }` frame, then
-    /// sever). `None` waits forever — one stalled peer then pins its
-    /// connection thread for good, so the default keeps a 30 s bound.
+    /// How long the [`crate::MuxServer`] lets an idle connection (nothing
+    /// in flight, nothing left to write) stay silent before evicting it
+    /// (typed `Error { code: Evicted }` frame, then sever). `None` never
+    /// evicts — stalled peers then hold their connection slots for good, so
+    /// the default keeps a 30 s bound.
     pub client_read_timeout: Option<Duration>,
 }
 
@@ -200,11 +202,15 @@ impl ServerConfig {
 /// into one forward pass.
 type ShapeGroup = (u8, Vec<usize>, Vec<(Request, Tensor)>);
 
+/// What a worker hands back for one request: the per-task outputs, or the
+/// error code and message the client sees.
+type Outcome = std::result::Result<Vec<WirePayload>, (ErrorCode, String)>;
+
 /// Where a served request's outcome goes once a worker has it.
 pub(crate) enum Responder {
     /// A blocked in-process caller ([`InferenceServer::infer_on`]) waiting
     /// on a rendezvous channel.
-    Channel(Sender<std::result::Result<Vec<WirePayload>, String>>),
+    Channel(Sender<Outcome>),
     /// A connection owned by the non-blocking mux: the worker encodes the
     /// response frame itself and hands the wire bytes back to the poller
     /// thread, waking it so the write happens this tick, not next.
@@ -223,9 +229,9 @@ pub(crate) enum Responder {
 
 impl Responder {
     /// Delivers the outcome. For frame responders this encodes the full
-    /// response (or typed `App` error) frame on the worker thread — the
-    /// poller only ever copies ready bytes into a socket.
-    fn respond(self, result: std::result::Result<Vec<WirePayload>, String>) {
+    /// response (or typed error) frame on the worker thread — the poller
+    /// only ever copies ready bytes into a socket.
+    fn respond(self, result: Outcome) {
         match self {
             Responder::Channel(tx) => {
                 let _ = tx.send(result);
@@ -240,7 +246,7 @@ impl Responder {
                     Ok(outputs) => {
                         Frame::new(OpCode::InferResponse, request_id, encode_response(&outputs))
                     }
-                    Err(message) => Frame::error_coded(request_id, ErrorCode::App, &message),
+                    Err((code, message)) => Frame::error_coded(request_id, code, &message),
                 };
                 if completions
                     .send(Completion {
@@ -267,10 +273,12 @@ struct Request {
 /// The server half of an MTL-Split deployment: frozen task heads plus the
 /// worker pool that drives them.
 ///
-/// The server is transport-agnostic: [`InferenceServer::process`] maps one
-/// request [`Frame`] to one response [`Frame`], and both the TCP listener and
-/// the in-process loopback transport call exactly that method — so a
-/// simulated deployment and a socket deployment execute identical code.
+/// The server is transport-agnostic: [`InferenceServer::process_on`] maps
+/// one request [`Frame`] to one response [`Frame`]. The in-process loopback
+/// transport calls it for every frame, and the [`crate::MuxServer`] calls it
+/// for every frame except infer requests, which it hands to the same worker
+/// queue without blocking its poller. A simulated deployment and a socket
+/// deployment therefore execute identical serving code.
 pub struct InferenceServer {
     tx: Mutex<Option<SyncSender<Request>>>,
     /// Requests submitted but not yet drained by a worker — the queue
@@ -358,7 +366,7 @@ impl InferenceServer {
         let heads = Arc::new(heads);
         let variants = Arc::new(variants);
         // One lock-free metric shard per worker plus the misc shard for
-        // connection threads; the pool size is fixed at construction. Each
+        // front-end threads; the pool size is fixed at construction. Each
         // shard carries one request counter per split variant.
         let split_labels: Vec<(u8, String)> = variants
             .iter()
@@ -504,10 +512,7 @@ impl InferenceServer {
         })?;
         match rrx.recv() {
             Ok(Ok(outputs)) => Ok(outputs),
-            Ok(Err(message)) => Err(ServeError::Remote {
-                code: ErrorCode::App,
-                message,
-            }),
+            Ok(Err((code, message))) => Err(ServeError::Remote { code, message }),
             Err(_) => Err(ServeError::ServerUnavailable),
         }
     }
@@ -550,18 +555,14 @@ impl InferenceServer {
 
     /// Negotiates the session's split from a client `Hello`.
     ///
-    /// A current-version client announces its device class and is assigned
-    /// the variant the server's rules pick for it. An older-version client
-    /// (or an undecodable hello body) falls back to the default variant —
-    /// negotiation degrades, the connection keeps working.
+    /// The client announces its device class and is assigned the variant
+    /// the server's rules pick for it. An undecodable hello body falls back
+    /// to the default variant — negotiation degrades, the connection keeps
+    /// working.
     fn process_hello(&self, frame: &Frame, session: &mut SessionState) -> Frame {
-        let variant = if frame.version < HELLO_VERSION {
-            0
-        } else {
-            match decode_hello(&frame.body) {
-                Ok(hello) => self.variant_for_class(&hello.device_class),
-                Err(_) => 0,
-            }
+        let variant = match decode_hello(&frame.body) {
+            Ok(hello) => self.variant_for_class(&hello.device_class),
+            Err(_) => 0,
         };
         session.variant = variant;
         let assignment = self.assignment_for(variant);
@@ -744,7 +745,7 @@ fn serve_batch(
                 );
                 request
                     .responder
-                    .respond(Err(format!("bad payload: {err}")));
+                    .respond(Err((ErrorCode::App, format!("bad payload: {err}"))));
             }
         }
     }
@@ -791,6 +792,12 @@ fn serve_batch(
 /// distributes the outputs. When the group's variant carries a backbone
 /// tail, the stacked features run `tail → heads`; otherwise the heads take
 /// the decoded features directly.
+///
+/// A panic inside the forward or encode pass is caught here, so it cannot
+/// end the worker thread and silently shrink the pool: every request of the
+/// group is answered once with [`ErrorCode::Internal`], the worker swaps in
+/// a fresh [`InferPlan`] (the unwound one may hold half-recycled buffers)
+/// and goes on serving. The responders stay outside the unwind boundary.
 fn serve_group(
     heads: &[Box<dyn Layer>],
     tail: Option<&dyn Layer>,
@@ -812,7 +819,7 @@ fn serve_group(
     // re-introduce per-request allocations.
     let mut head_outputs: Vec<Tensor> = Vec::with_capacity(heads.len());
     let mut tail_output: Option<Tensor> = None;
-    let outcome = (|| -> std::result::Result<Vec<Vec<WirePayload>>, String> {
+    let forward_and_encode = || -> std::result::Result<Vec<Vec<WirePayload>>, String> {
         let forward_span = obs::span_dims(
             "forward",
             obs::SpanKind::Serve,
@@ -876,15 +883,28 @@ fn serve_group(
         shard.record_encode(obs::now_ns() - encode_start);
         drop(encode_span);
         Ok(per_request)
-    })();
-    // The responses (if any) are encoded; the output buffers rejoin the
-    // arena regardless of the outcome.
-    for output in head_outputs {
-        plan.recycle(output);
-    }
-    if let Some(output) = tail_output {
-        plan.recycle(output);
-    }
+    };
+    let outcome = match panic::catch_unwind(AssertUnwindSafe(forward_and_encode)) {
+        Ok(result) => {
+            // The responses (if any) are encoded; the output buffers rejoin
+            // the arena whether the pass succeeded or failed.
+            for output in head_outputs {
+                plan.recycle(output);
+            }
+            if let Some(output) = tail_output {
+                plan.recycle(output);
+            }
+            result.map_err(|message| (ErrorCode::App, message))
+        }
+        Err(_) => {
+            obs::metrics::SERVE_WORKER_PANICS.add(1);
+            *plan = InferPlan::new();
+            Err((
+                ErrorCode::Internal,
+                "internal error: the server worker panicked while serving this batch".to_string(),
+            ))
+        }
+    };
     match outcome {
         Ok(per_request) => {
             for ((request, _), outputs) in members.into_iter().zip(per_request) {
@@ -898,7 +918,7 @@ fn serve_group(
                 request.responder.respond(Ok(outputs));
             }
         }
-        Err(message) => {
+        Err(error) => {
             for (request, _) in members {
                 shard.record_error();
                 shard.record_split_request(request.variant as usize);
@@ -907,207 +927,10 @@ fn serve_group(
                     request.payload.wire_bytes(),
                     0,
                 );
-                request.responder.respond(Err(message.clone()));
+                request.responder.respond(Err(error.clone()));
             }
         }
     }
-}
-
-/// A background TCP front-end for an [`InferenceServer`].
-///
-/// Each accepted connection gets its own thread that reads frames, calls
-/// [`InferenceServer::process`] and writes the responses back — a classic
-/// thread-per-connection design that needs no async runtime.
-pub struct TcpServer {
-    local_addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<Connection>>>,
-}
-
-/// A live connection: its worker thread plus a stream handle that `halt`
-/// can shut down to unblock the thread's read.
-struct Connection {
-    thread: JoinHandle<()>,
-    stream: Option<std::net::TcpStream>,
-}
-
-impl std::fmt::Debug for TcpServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpServer")
-            .field("local_addr", &self.local_addr)
-            .finish()
-    }
-}
-
-impl TcpServer {
-    /// Serves `server` on `listener` until [`TcpServer::stop`] is called.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener's local address cannot be read.
-    pub fn spawn(server: Arc<InferenceServer>, listener: std::net::TcpListener) -> Result<Self> {
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = Arc::clone(&stop);
-        let accept_connections = Arc::clone(&connections);
-        let accept_thread = std::thread::Builder::new()
-            .name("mtlsplit-serve-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let conn_server = Arc::clone(&server);
-                    let conn_stop = Arc::clone(&accept_stop);
-                    let shutdown_handle = stream.try_clone().ok();
-                    let thread = std::thread::Builder::new()
-                        .name("mtlsplit-serve-conn".to_string())
-                        .spawn(move || serve_connection(stream, conn_server, conn_stop))
-                        .expect("spawn connection thread");
-                    let mut guard = accept_connections.lock().expect("conn lock");
-                    // Reap finished connections so a long-lived server does
-                    // not accumulate one JoinHandle per past client.
-                    guard.retain(|c: &Connection| !c.thread.is_finished());
-                    guard.push(Connection {
-                        thread,
-                        stream: shutdown_handle,
-                    });
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(Self {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            connections,
-        })
-    }
-
-    /// The address the server is listening on (useful with port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops accepting connections, says goodbye to any connections still
-    /// open and joins every connection thread. Clients mid-conversation
-    /// receive a typed `Error { code: ShuttingDown }` frame before the
-    /// socket closes, so an in-flight read observes a clean protocol-level
-    /// goodbye rather than an abrupt reset.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = std::net::TcpStream::connect(self.local_addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-        let connections: Vec<Connection> =
-            std::mem::take(&mut *self.connections.lock().expect("conn lock"));
-        for connection in &connections {
-            // Close only the read half: the connection thread's blocked read
-            // returns EOF, sees the stop flag, and writes the goodbye frame
-            // over the still-open write half before severing.
-            if let Some(stream) = &connection.stream {
-                let _ = stream.shutdown(std::net::Shutdown::Read);
-            }
-        }
-        for connection in connections {
-            let _ = connection.thread.join();
-            if let Some(stream) = &connection.stream {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.halt();
-        }
-    }
-}
-
-/// Frame loop for one accepted connection.
-///
-/// Each connection carries its own [`SessionState`]: a `Hello` renegotiates
-/// the split the rest of the conversation is served at. Recoverable protocol
-/// problems — an unsupported version, a corrupt checksum, an unknown op
-/// code — are answered with a typed [`OpCode::Error`] frame and the loop
-/// keeps reading; only unframeable garbage (bad magic, oversized length) or
-/// a dead socket end the connection. The server itself keeps running either
-/// way.
-///
-/// Two exits are announced with typed goodbye frames (request id 0): a
-/// client silent longer than [`ServerConfig::client_read_timeout`] receives
-/// `Error { code: Evicted }`, and connections open when the server stops
-/// receive `Error { code: ShuttingDown }` before the socket closes.
-fn serve_connection(
-    stream: std::net::TcpStream,
-    server: Arc<InferenceServer>,
-    stop: Arc<AtomicBool>,
-) {
-    let max_body = server.config().max_body_bytes;
-    let _ = stream.set_read_timeout(server.config().client_read_timeout);
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = std::io::BufWriter::new(stream);
-    let mut session = SessionState::default();
-    let mut goodbye: Option<Frame> = None;
-    loop {
-        let response = match Frame::read_from_lenient(&mut reader, max_body) {
-            Ok(Some(Received::Frame(frame))) => server.process_on(&frame, &mut session),
-            Ok(Some(Received::Rejected { request_id, error })) => {
-                server.metrics.misc().record_error();
-                Frame::error_coded(request_id, ErrorCode::Protocol, &error.to_string())
-            }
-            Err(ServeError::Io(err))
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && !stop.load(Ordering::SeqCst) =>
-            {
-                // The client stalled past the read timeout: evict it so it
-                // cannot pin this thread, but say why before severing.
-                server.metrics.misc().record_eviction();
-                goodbye = Some(Frame::error_coded(
-                    0,
-                    ErrorCode::Evicted,
-                    "evicted: no frame within the server's read timeout",
-                ));
-                break;
-            }
-            Ok(None) | Err(_) => break,
-        };
-        if response.write_to(&mut writer).is_err() {
-            break;
-        }
-    }
-    if goodbye.is_none() && stop.load(Ordering::SeqCst) {
-        goodbye = Some(Frame::error_coded(
-            0,
-            ErrorCode::ShuttingDown,
-            "server shutting down",
-        ));
-    }
-    if let Some(frame) = goodbye {
-        // Best effort: the write half is still open when `halt` closed only
-        // the read half, so a blocked client sees a typed goodbye instead of
-        // a reset. A fully dead socket just fails silently here.
-        let _ = frame.write_to(&mut writer);
-    }
-    // Sever the socket explicitly: the accept loop retains a clone of this
-    // stream (for forced shutdown on `TcpServer::stop`), so dropping our
-    // handles alone would leave the peer half-open until the next reap.
-    let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -1392,22 +1215,118 @@ mod tests {
         assert_eq!(other.variant(), 0);
     }
 
+    /// Input value that makes [`PoisonHead`] panic.
+    const POISON: f32 = 1.0e30;
+
+    /// A task head that panics when its input holds [`POISON`] and
+    /// otherwise runs the wrapped linear layer.
+    struct PoisonHead(Linear);
+
+    impl Layer for PoisonHead {
+        fn forward(
+            &mut self,
+            input: &Tensor,
+            mode: mtlsplit_nn::RunMode<'_>,
+        ) -> mtlsplit_nn::Result<Tensor> {
+            self.0.forward(input, mode)
+        }
+
+        fn infer(&self, input: &Tensor) -> mtlsplit_nn::Result<Tensor> {
+            assert!(!input.as_slice().contains(&POISON), "poisoned input");
+            self.0.infer(input)
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> mtlsplit_nn::Result<Tensor> {
+            self.0.backward(grad_output)
+        }
+
+        fn parameters_mut(&mut self) -> Vec<&mut mtlsplit_nn::Parameter> {
+            self.0.parameters_mut()
+        }
+
+        fn parameters(&self) -> Vec<&mtlsplit_nn::Parameter> {
+            self.0.parameters()
+        }
+
+        fn name(&self) -> &'static str {
+            "PoisonHead"
+        }
+    }
+
     #[test]
-    fn a_v3_hello_falls_back_to_the_default_split() {
-        let (_, _, _, server) = split_server(33);
-        let mut session = SessionState {
-            variant: 1, // a previous negotiation moved the session off default
-        };
-        let hello = encode_hello(&HelloRequest {
-            device_class: "weak-edge".to_string(),
-            latency_budget_ms: 30.0,
-        });
-        let frame = Frame::with_version(OpCode::Hello, 4, hello, 3);
-        let ack = server.process_on(&frame, &mut session);
-        assert_eq!(ack.op, OpCode::HelloAck);
-        assert_eq!(session.variant(), 0);
-        let assignment = decode_split_assignment(&ack.body).unwrap();
-        assert_eq!(assignment.stage, 2, "v3 fallback must pick the default");
+    fn a_worker_panic_answers_internal_and_the_worker_keeps_serving() {
+        use crate::client::{EdgeClient, RetryPolicy};
+        use crate::mux::MuxServer;
+        use crate::transport::{TcpTransport, Transport};
+
+        let mut rng = StdRng::seed_from(41);
+        let reference = Linear::new(8, 3, &mut rng);
+        let head: Box<dyn Layer> =
+            Box::new(PoisonHead(Linear::new(8, 3, &mut StdRng::seed_from(41))));
+        // One worker: had the panic ended it, nothing would ever serve again.
+        let server = Arc::new(InferenceServer::start(
+            vec![head],
+            ServerConfig::default().with_workers(1),
+        ));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mux = MuxServer::spawn(Arc::clone(&server), listener).unwrap();
+        // Bounded socket reads: a dead pool fails the test instead of
+        // hanging it.
+        let deadline = Some(Duration::from_secs(10));
+        let mut transport = TcpTransport::connect(mux.local_addr()).unwrap();
+        transport.set_timeouts(deadline, deadline).unwrap();
+        let mut client = EdgeClient::new(
+            Box::new(Sequential::new()),
+            TensorCodec::default(),
+            Box::new(transport),
+        )
+        .with_retry_policy(RetryPolicy::default().with_deadline(deadline));
+        let panics_before = obs::metrics::SERVE_WORKER_PANICS.get();
+
+        let poison_index = 3;
+        let mut burst: Vec<Tensor> = (0..8)
+            .map(|_| Tensor::randn(&[1, 8], 0.0, 1.0, &mut rng))
+            .collect();
+        burst[poison_index] = Tensor::from_vec(vec![POISON; 8], &[1, 8]).unwrap();
+        // The whole burst is in flight at once; a missing or duplicated
+        // reply would fail the window with a whole-call error.
+        let outcomes = client
+            .infer_pipelined(&burst, burst.len())
+            .expect("the connection survives the panic");
+        assert_eq!(outcomes.len(), burst.len());
+        let mut failed = 0u64;
+        for (index, (input, outcome)) in burst.iter().zip(&outcomes).enumerate() {
+            match outcome {
+                Ok(outputs) => {
+                    assert_ne!(index, poison_index, "the poison request was served");
+                    assert_eq!(outputs[0], reference.infer(input).unwrap());
+                }
+                Err(ServeError::Remote {
+                    code: ErrorCode::Internal,
+                    ..
+                }) => failed += 1,
+                Err(other) => panic!("request {index}: unexpected outcome {other:?}"),
+            }
+        }
+        assert!(matches!(
+            outcomes[poison_index],
+            Err(ServeError::Remote {
+                code: ErrorCode::Internal,
+                ..
+            })
+        ));
+
+        // The same single worker serves the next request, bit-identical to
+        // the monolithic head.
+        let x = Tensor::randn(&[2, 8], 0.0, 1.0, &mut rng);
+        let served = client.infer(&x).expect("the worker survived the panic");
+        assert_eq!(served[0], reference.infer(&x).unwrap());
+        assert_eq!(client.stats().resyncs, 0, "no stray duplicate reply");
+        assert!(obs::metrics::SERVE_WORKER_PANICS.get() > panics_before);
+        let metrics = server.metrics();
+        assert_eq!(metrics.errors, failed, "each failed request counts once");
+        assert_eq!(metrics.requests, burst.len() as u64 + 1);
+        mux.stop();
     }
 
     #[test]

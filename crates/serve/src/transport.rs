@@ -3,7 +3,7 @@
 //! [`Transport`] is the tiny synchronous contract the [`crate::EdgeClient`]
 //! speaks: send one frame, get one frame back. Two implementations ship:
 //!
-//! * [`TcpTransport`] — a real socket to a [`crate::TcpServer`], for actual
+//! * [`TcpTransport`] — a real socket to a [`crate::MuxServer`], for actual
 //!   deployments and the `serve_demo` example.
 //! * [`LoopbackTransport`] — an in-process call into an
 //!   [`InferenceServer`], optionally accounting a [`ChannelModel`]'s

@@ -13,21 +13,19 @@
 //! ```
 //!
 //! A metrics response body is one [`ServeMetrics`] snapshot
-//! ([`encode_metrics`] / [`decode_metrics`]): a one-byte codec version,
-//! the `u32` worker count, six `u64` counters (codec version 3 inserted
-//! the eviction count after the error count), six `f64` gauges, the
+//! ([`encode_metrics`] / [`decode_metrics`]): a one-byte codec version
+//! (always 4), the `u32` worker count, six `u64` counters (requests,
+//! errors, evictions, batches, bytes in, bytes out), six `f64` gauges, the
 //! four phase blocks (queue-wait, decode, forward, encode) — each a `u64`
-//! count plus four `f64` quantile fields — and, since codec version 2, the
-//! per-split request counts: a one-byte entry count, then per entry a
-//! one-byte stage index, a length-prefixed label and a `u64` counter.
-//! Codec version 4 appends a fixed tail after the per-split entries: the
-//! `u64` shed counter, then the six `u64` process-wide client resilience
-//! counters (retries, reconnects, fallbacks, exhausted deadlines, breaker
-//! trips, injected faults). The decoder still accepts version-3 bodies,
-//! zero-filling the tail, so a v4 scraper reads v3 servers. All
-//! little-endian, decoded with an exact-consume check.
+//! count plus four `f64` quantile fields — then the per-split request
+//! counts: a one-byte entry count, then per entry a one-byte stage index, a
+//! length-prefixed label and a `u64` counter. A fixed tail closes the body:
+//! the `u64` shed counter, then the six `u64` process-wide client
+//! resilience counters (retries, reconnects, fallbacks, exhausted
+//! deadlines, breaker trips, injected faults). Any other codec version is
+//! rejected. All little-endian, decoded with an exact-consume check.
 //!
-//! Protocol v4 negotiation bodies live here too: a `Hello` body is a
+//! The split-negotiation bodies live here too: a `Hello` body is a
 //! [`HelloRequest`] ([`encode_hello`] / [`decode_hello`]), a `HelloAck`
 //! body is a [`SplitAssignment`] ([`encode_split_assignment`] /
 //! [`decode_split_assignment`]).
@@ -37,19 +35,11 @@ use mtlsplit_split::WirePayload;
 use crate::error::{Result, ServeError};
 use crate::metrics::{PhaseStats, ResilienceCounters, ServeMetrics, SplitRequests};
 
-/// Version byte of the metrics snapshot codec. Version 2 appended the
-/// variable-length per-split request counts to the fixed v1 layout;
-/// version 3 inserted the eviction counter after the error counter;
-/// version 4 appended the shed counter and the resilience tail after the
-/// per-split entries.
+/// Version byte of the metrics snapshot codec, the only one accepted.
 const METRICS_CODEC_VERSION: u8 = 4;
 
-/// Oldest metrics codec version the decoder still reads; v3 bodies simply
-/// lack the v4 tail, which decodes as all zeros.
-const METRICS_MIN_CODEC_VERSION: u8 = 3;
-
 /// Exact encoded size of the fixed part of one metrics snapshot (before
-/// the per-split entries; excludes the v4 resilience tail).
+/// the per-split entries; excludes the shed and resilience tail).
 const METRICS_FIXED_BYTES: usize = 1 + 4 + 6 * 8 + 6 * 8 + 4 * (8 + 4 * 8);
 
 /// Encodes the per-task output payloads of one response.
@@ -269,8 +259,7 @@ pub fn decode_metrics(body: &[u8]) -> Result<ServeMetrics> {
     if body.is_empty() {
         return Err(ServeError::Truncated { needed: 1, got: 0 });
     }
-    let codec_version = body[0];
-    if !(METRICS_MIN_CODEC_VERSION..=METRICS_CODEC_VERSION).contains(&codec_version) {
+    if body[0] != METRICS_CODEC_VERSION {
         return Err(ServeError::UnsupportedVersion { found: body[0] });
     }
     let mut cursor = Cursor {
@@ -303,20 +292,14 @@ pub fn decode_metrics(body: &[u8]) -> Result<ServeMetrics> {
             requests: cursor.u64()?,
         });
     }
-    let (shed, resilience) = if codec_version >= 4 {
-        (
-            cursor.u64()?,
-            ResilienceCounters {
-                retries: cursor.u64()?,
-                reconnects: cursor.u64()?,
-                fallbacks: cursor.u64()?,
-                deadlines_exhausted: cursor.u64()?,
-                breaker_trips: cursor.u64()?,
-                faults_injected: cursor.u64()?,
-            },
-        )
-    } else {
-        (0, ResilienceCounters::default())
+    let shed = cursor.u64()?;
+    let resilience = ResilienceCounters {
+        retries: cursor.u64()?,
+        reconnects: cursor.u64()?,
+        fallbacks: cursor.u64()?,
+        deadlines_exhausted: cursor.u64()?,
+        breaker_trips: cursor.u64()?,
+        faults_injected: cursor.u64()?,
     };
     cursor.finish()?;
     Ok(ServeMetrics {
@@ -520,8 +503,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v3_metrics_bodies_decode_with_a_zeroed_resilience_tail() {
-        let mut metrics = ServeMetrics {
+    fn v3_metrics_bodies_are_rejected_as_an_unsupported_version() {
+        let metrics = ServeMetrics {
             workers: 2,
             requests: 40,
             shed: 7,
@@ -535,10 +518,10 @@ mod tests {
         let mut body = encode_metrics(&metrics);
         body.truncate(body.len() - 7 * 8);
         body[0] = 3;
-        let decoded = decode_metrics(&body).unwrap();
-        metrics.shed = 0;
-        metrics.resilience = ResilienceCounters::default();
-        assert_eq!(decoded, metrics);
+        assert!(matches!(
+            decode_metrics(&body),
+            Err(ServeError::UnsupportedVersion { found: 3 })
+        ));
         // A truncated tail on a v4 body is still a typed error.
         let mut short = encode_metrics(&metrics);
         short.truncate(short.len() - 1);

@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 5. Edge side, in its own thread: backbone + codec + TCP transport.
     //    Besides inference, the client scrapes the server's live metrics
-    //    over the same socket (protocol v3 `Op::Metrics`).
+    //    over the same socket (a `MetricsRequest` frame).
     let client_thread =
         std::thread::spawn(move || -> Result<(Vec<Tensor>, ServeMetrics), String> {
             let transport = TcpTransport::connect(addr).map_err(|e| e.to_string())?;

@@ -2,10 +2,10 @@
 //!
 //! * every candidate split of a real model serves and pipelines
 //!   bit-identically to the monolithic forward, across thread budgets;
-//! * a v4 client negotiating a non-default split over loopback *and* over a
+//! * a client negotiating a non-default split over loopback *and* over a
 //!   real TCP socket gets bit-identical served outputs;
 //! * a raw socket poking the server with protocol garbage (unsupported
-//!   version, corrupt checksum, unknown op code) gets typed `Error` frames
+//!   versions, corrupt checksum, unknown op code) gets typed `Error` frames
 //!   and the connection keeps serving;
 //! * an autotuner deployment plan drives the server's split rules, so the
 //!   handshake hands each device class exactly the stage the planner chose.
@@ -19,8 +19,8 @@ use mtlsplit_core::{deploy, MtlSplitModel};
 use mtlsplit_data::TaskSpec;
 use mtlsplit_models::BackboneKind;
 use mtlsplit_serve::{
-    EdgeClient, Frame, InferenceServer, LoopbackTransport, OpCode, ServerConfig, SplitRule,
-    SplitVariant, TcpServer, TcpTransport, HEADER_BYTES, VERSION,
+    EdgeClient, ErrorCode, Frame, InferenceServer, LoopbackTransport, MuxServer, OpCode,
+    ServerConfig, SplitRule, SplitVariant, TcpTransport, HEADER_BYTES, VERSION,
 };
 use mtlsplit_split::{ChannelModel, Precision, SplitPipeline, TensorCodec};
 use mtlsplit_tensor::{Parallelism, StdRng, Tensor};
@@ -191,8 +191,8 @@ fn negotiated_split_is_bitwise_monolithic_over_loopback() {
 fn negotiated_split_is_bitwise_monolithic_over_tcp() {
     let server = negotiating_server();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let tcp = TcpServer::spawn(Arc::clone(&server), listener).expect("spawn tcp front-end");
-    let addr = tcp.local_addr();
+    let mux = MuxServer::spawn(Arc::clone(&server), listener).expect("spawn mux front-end");
+    let addr = mux.local_addr();
     let (edge, _) = deploy::split_for_serving(fixture_model());
     let client = EdgeClient::new(
         edge.into_layer(),
@@ -200,7 +200,7 @@ fn negotiated_split_is_bitwise_monolithic_over_tcp() {
         Box::new(TcpTransport::connect(addr).expect("connect")),
     );
     assert_negotiated_bitwise(client);
-    tcp.stop();
+    mux.stop();
 }
 
 /// Table-driven IEEE CRC-32 (reflected polynomial `0xEDB88320`), implemented
@@ -256,15 +256,15 @@ fn read_raw_frame(stream: &mut TcpStream) -> (u8, u64, Vec<u8>) {
     (op, request_id, body)
 }
 
-/// Satellite robustness probe: malformed-but-framed requests must come back
-/// as typed `Error` frames on a connection that keeps serving, and a v3
-/// `Hello` must degrade to the default split instead of being rejected.
+/// Robustness probe: malformed-but-framed requests — including a `Hello`
+/// from an older protocol version — must come back as typed `Error` frames
+/// on a connection that keeps serving.
 #[test]
 fn protocol_probes_get_typed_errors_and_the_connection_survives() {
     let server = negotiating_server();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let tcp = TcpServer::spawn(Arc::clone(&server), listener).expect("spawn tcp front-end");
-    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mux = MuxServer::spawn(Arc::clone(&server), listener).expect("spawn mux front-end");
+    let mut stream = TcpStream::connect(mux.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
     // Probe 1: a version from the future.
@@ -295,8 +295,8 @@ fn protocol_probes_get_typed_errors_and_the_connection_survives() {
     assert_eq!(id, 13);
     assert!(String::from_utf8(body).expect("utf8").contains("op code"));
 
-    // Probe 4: a v3 client says Hello — the op did not exist in v3, so the
-    // server pins the session to the default split rather than erroring.
+    // Probe 4: a v3 client says Hello. Only the current version is spoken,
+    // so the server answers a typed protocol error naming the version.
     let mut hello = Vec::new();
     hello.push("weak-edge".len() as u8);
     hello.extend_from_slice(b"weak-edge");
@@ -305,12 +305,12 @@ fn protocol_probes_get_typed_errors_and_the_connection_survives() {
         .write_all(&raw_frame(3, OpCode::Hello as u8, 14, &hello))
         .expect("send");
     let (op, id, body) = read_raw_frame(&mut stream);
-    assert_eq!(op, OpCode::HelloAck as u8, "v3 Hello still acked");
+    assert_eq!(op, OpCode::Error as u8, "a v3 Hello must answer Error");
     assert_eq!(id, 14);
-    // SplitAssignment body: stage byte, label length, label bytes. A v3
-    // session stays on variant 0 — the default (deepest) split.
-    let default_stage = fixture_model().backbone().default_split() as u8;
-    assert_eq!(body[0], default_stage, "v3 session pinned to the default");
+    assert_eq!(body[0], ErrorCode::Protocol as u8, "typed protocol error");
+    assert!(String::from_utf8(body[1..].to_vec())
+        .expect("utf8")
+        .contains("version"));
 
     // After all four probes the same connection still serves liveness.
     stream
@@ -321,7 +321,7 @@ fn protocol_probes_get_typed_errors_and_the_connection_survives() {
     assert_eq!(id, 15);
 
     drop(stream);
-    tcp.stop();
+    mux.stop();
 }
 
 /// The glue the tentpole promises: an autotuner deployment plan feeds the

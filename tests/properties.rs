@@ -337,7 +337,7 @@ fn dataset_split_partitions_samples() {
 
 /// `Frame::decode` rejects every truncated prefix and every single-byte
 /// corruption of a valid encoded frame with a typed error — never a panic,
-/// never a silently different frame. The CRC-32 in protocol v2 is what
+/// never a silently different frame. The frame's CRC-32 is what
 /// closes the request-id/body gap that a header-only validation would leave.
 #[test]
 fn frame_decode_rejects_truncation_and_single_byte_corruption() {
