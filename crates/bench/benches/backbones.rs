@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtlsplit_models::{Backbone, BackboneConfig, BackboneKind};
-use mtlsplit_nn::{Layer, RunMode};
+use mtlsplit_nn::{Layer, RunMode, TrainPlan};
 use mtlsplit_tensor::{StdRng, Tensor};
 
 fn bench_backbone_forward(c: &mut Criterion) {
@@ -33,17 +33,20 @@ fn bench_backbone_backward(c: &mut Criterion) {
         let mut backbone =
             Backbone::new(BackboneConfig::new(kind, 3, 24), &mut rng).expect("build backbone");
         let input = Tensor::randn(&[4, 3, 24, 24], 0.5, 0.2, &mut rng);
+        let mut plan = TrainPlan::new();
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.display_name()),
             &kind,
             |bencher, _| {
                 bencher.iter(|| {
-                    let features = backbone
-                        .forward(&input, RunMode::train(&mut rng))
+                    let features = plan
+                        .forward(&mut backbone, &input, RunMode::train(&mut rng))
                         .expect("forward");
-                    backbone
-                        .backward(&Tensor::ones(features.dims()))
-                        .expect("backward")
+                    let grad = plan
+                        .backward(&mut backbone, &Tensor::ones(features.dims()))
+                        .expect("backward");
+                    plan.recycle(features);
+                    plan.recycle(grad);
                 });
             },
         );

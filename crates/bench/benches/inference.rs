@@ -1,21 +1,16 @@
 //! Inference-runtime benchmark: the planned, zero-allocation path against
-//! the allocating `Layer::infer` path and against the PR-3 layer-wise
-//! baseline it replaces.
+//! the PR-3 layer-wise baseline it replaces.
 //!
-//! Three execution paths are measured over identical weights (all built
+//! Two execution paths are measured over identical weights (both built
 //! from one seed, verified bit-identical before anything is timed):
 //!
-//! * **pr3** — the previous serving hot path, reproduced verbatim the way
-//!   `benches/kernels.rs` reproduces the seed kernels: every layer
-//!   allocates a fresh output tensor, convolutions allocate im2col scratch
-//!   per `(batch, group)` unit and prefill the bias (`beta == 1` GEMM),
-//!   batch-norm/activations run as separate full-tensor passes, and all
-//!   GEMMs go through PR-3's packed kernel (vendored below), which had no
-//!   single-row fast path.
-//! * **allocating** — today's `Layer::infer` chain (shares the new kernels:
-//!   epilogue bias, the m == 1 GEMV path, thread-local scratch — but still
-//!   one fresh output allocation per layer and separate norm/activation
-//!   passes).
+//! * **pr3** — the previous serving hot path, reproduced verbatim in
+//!   `mtlsplit_bench::reference::pr3` the way `benches/kernels.rs`
+//!   reproduces the seed kernels: every layer allocates a fresh output
+//!   tensor, convolutions allocate im2col scratch per `(batch, group)` unit
+//!   and prefill the bias (`beta == 1` GEMM), batch-norm/activations run as
+//!   separate full-tensor passes, and all GEMMs go through PR-3's packed
+//!   kernel, which had no single-row fast path.
 //! * **planned** — the `InferPlan` runtime: arena-recycled buffers and
 //!   plan-time fusion of conv→norm→activation / GEMM→activation.
 //!
@@ -25,7 +20,7 @@
 //!    `System`; after warm-up the planned path must perform exactly 0 heap
 //!    allocations per request (asserted — in quick mode this is the CI
 //!    gate).
-//! 2. **Bit-identity.** All three paths must produce `==` outputs.
+//! 2. **Bit-identity.** Planned and PR-3 passes must produce `==` outputs.
 //!
 //! Results go to `BENCH_inference.json` at the repository root
 //! (hand-rolled JSON — the workspace has no serde);
@@ -39,13 +34,12 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtlsplit_obs as obs;
 
-use mtlsplit_nn::{
-    BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, HardSwish, InferPlan, Layer, Linear, MaxPool2d,
-    Relu, Sequential,
+use mtlsplit_bench::reference::pr3::{
+    build_boxed_heads, build_concrete, build_concrete_heads, build_sequential, mobile_spec,
+    pr3_forward, pr3_head, vgg_spec, OpSpec, FEATURES,
 };
-use mtlsplit_tensor::{
-    global_avg_pool2d, max_pool2d_infer, Conv2dSpec, Parallelism, StdRng, Tensor,
-};
+use mtlsplit_nn::InferPlan;
+use mtlsplit_tensor::{Parallelism, StdRng, Tensor};
 
 // ---------------------------------------------------------------------------
 // Counting allocator
@@ -105,748 +99,6 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// The measured stacks: one op list, three execution paths
-// ---------------------------------------------------------------------------
-
-/// Architecture description shared by the concrete-op and boxed-layer
-/// constructions, so both are built from the same RNG draws and carry
-/// identical weights.
-#[derive(Clone, Copy)]
-enum OpSpec {
-    Conv(Conv2dSpec),
-    Bn(usize),
-    Relu,
-    HardSwish,
-    MaxPool(usize, usize),
-    Gap,
-    Flatten,
-}
-
-/// The MobileNet-style edge stack (stem + three depthwise-separable blocks),
-/// mirroring the `MobileStyle` backbone at 32×32 — the paper's
-/// edge-relevant regime.
-fn mobile_spec() -> Vec<OpSpec> {
-    let sep = |in_c: usize, out_c: usize, stride: usize| {
-        vec![
-            OpSpec::Conv(
-                Conv2dSpec::new(in_c, in_c, 3)
-                    .with_stride(stride)
-                    .with_padding(1)
-                    .with_groups(in_c),
-            ),
-            OpSpec::Bn(in_c),
-            OpSpec::HardSwish,
-            OpSpec::Conv(Conv2dSpec::new(in_c, out_c, 1)),
-            OpSpec::Bn(out_c),
-            OpSpec::HardSwish,
-        ]
-    };
-    let mut ops = vec![
-        OpSpec::Conv(Conv2dSpec::new(3, 8, 3).with_stride(2).with_padding(1)),
-        OpSpec::Bn(8),
-        OpSpec::HardSwish,
-    ];
-    ops.extend(sep(8, 16, 1));
-    ops.extend(sep(16, 24, 2));
-    ops.extend(sep(24, 32, 1));
-    ops.push(OpSpec::Gap);
-    ops.push(OpSpec::Flatten);
-    ops
-}
-
-/// The VGG-style edge stack: plain 3×3 convolution pairs with ReLU and max
-/// pooling, mirroring the `VggStyle` backbone at 32×32.
-fn vgg_spec() -> Vec<OpSpec> {
-    let block = |in_c: usize, out_c: usize| {
-        vec![
-            OpSpec::Conv(Conv2dSpec::new(in_c, out_c, 3).with_padding(1)),
-            OpSpec::Relu,
-            OpSpec::Conv(Conv2dSpec::new(out_c, out_c, 3).with_padding(1)),
-            OpSpec::Relu,
-            OpSpec::MaxPool(2, 2),
-        ]
-    };
-    let mut ops = block(3, 16);
-    ops.extend(block(16, 32));
-    ops.extend(block(32, 64));
-    ops.push(OpSpec::Gap);
-    ops.push(OpSpec::Flatten);
-    ops
-}
-
-/// A concrete, introspectable op for the PR-3 reproduction.
-enum ConcreteOp {
-    Conv(Conv2d),
-    Bn(BatchNorm2d),
-    Relu,
-    HardSwish,
-    MaxPool(usize, usize),
-    Gap,
-    Flatten,
-}
-
-fn build_concrete(spec: &[OpSpec], seed: u64) -> Vec<ConcreteOp> {
-    let mut rng = StdRng::seed_from(seed);
-    spec.iter()
-        .map(|op| match *op {
-            OpSpec::Conv(s) => ConcreteOp::Conv(Conv2d::with_spec(s, &mut rng)),
-            OpSpec::Bn(c) => ConcreteOp::Bn(BatchNorm2d::new(c)),
-            OpSpec::Relu => ConcreteOp::Relu,
-            OpSpec::HardSwish => ConcreteOp::HardSwish,
-            OpSpec::MaxPool(w, s) => ConcreteOp::MaxPool(w, s),
-            OpSpec::Gap => ConcreteOp::Gap,
-            OpSpec::Flatten => ConcreteOp::Flatten,
-        })
-        .collect()
-}
-
-/// The same stack as boxed layers (identical seed → identical weights),
-/// driven by `Sequential` for the allocating and planned paths.
-fn build_sequential(spec: &[OpSpec], seed: u64) -> Sequential {
-    let mut rng = StdRng::seed_from(seed);
-    let mut net = Sequential::new();
-    for op in spec {
-        match *op {
-            OpSpec::Conv(s) => net.push_boxed(Box::new(Conv2d::with_spec(s, &mut rng))),
-            OpSpec::Bn(c) => net.push_boxed(Box::new(BatchNorm2d::new(c))),
-            OpSpec::Relu => net.push_boxed(Box::new(Relu::new())),
-            OpSpec::HardSwish => net.push_boxed(Box::new(HardSwish::new())),
-            OpSpec::MaxPool(w, s) => net.push_boxed(Box::new(MaxPool2d::new(w, s))),
-            OpSpec::Gap => net.push_boxed(Box::new(GlobalAvgPool2d::new())),
-            OpSpec::Flatten => net.push_boxed(Box::new(Flatten::new())),
-        }
-    }
-    net
-}
-
-// ---------------------------------------------------------------------------
-// PR-3's packed blocked GEMM, reproduced verbatim (single-threaded path)
-// ---------------------------------------------------------------------------
-
-/// PR-3's `sgemm`, reproduced verbatim so the layer-wise baseline pays
-/// exactly the kernel costs it paid then — in particular, `m == 1` products
-/// (depthwise convolution units, batch-1 linear layers) still pack panels
-/// and idle three of the four register-tile rows, which this PR's GEMV path
-/// has since eliminated. Only the single-threaded path is carried (the
-/// bench pins `Parallelism::single()`); the threaded split changes no
-/// chains. Accumulation uses the crate's `fused_mul_add`, so results are
-/// bit-identical to the production kernels (asserted before timing).
-mod pr3_gemm {
-    use mtlsplit_tensor::{fused_mul_add, MR, NR};
-
-    const MC: usize = 128;
-    const KC: usize = 256;
-    const NC: usize = 512;
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn sgemm(
-        trans_a: bool,
-        trans_b: bool,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        beta: f32,
-        c: &mut [f32],
-    ) {
-        assert_eq!(a.len(), m * k, "sgemm: A buffer does not match m x k");
-        assert_eq!(b.len(), k * n, "sgemm: B buffer does not match k x n");
-        assert_eq!(c.len(), m * n, "sgemm: C buffer does not match m x n");
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 || alpha == 0.0 {
-            scale_c(c, beta);
-            return;
-        }
-        gemm_rows(0, m, trans_a, trans_b, m, n, k, alpha, a, b, beta, c, None);
-    }
-
-    fn scale_c(c: &mut [f32], beta: f32) {
-        if beta == 0.0 {
-            c.fill(0.0);
-        } else if beta != 1.0 {
-            for x in c.iter_mut() {
-                *x *= beta;
-            }
-        }
-    }
-
-    /// Serial blocked GEMM over the row range `[row_start, row_end)` of `C`.
-    ///
-    /// `c_chunk` holds exactly those rows (`(row_end - row_start) * n` values);
-    /// `a` and `b` are the full operands. When `prepacked_b` is given it must
-    /// hold every `(jc, pc)` block of packed `B` in iteration order (the
-    /// threaded path shares one such buffer across workers); otherwise blocks
-    /// are packed on the fly into thread-local scratch. This is the unit of
-    /// work one thread executes — the blocking below never depends on which
-    /// rows the range covers beyond their packing, so the accumulation chain
-    /// per element is partition-independent.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_rows(
-        row_start: usize,
-        row_end: usize,
-        trans_a: bool,
-        trans_b: bool,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        beta: f32,
-        c_chunk: &mut [f32],
-        prepacked_b: Option<&[f32]>,
-    ) {
-        // Reuse this thread's packing scratch across calls: the packing loops
-        // overwrite every slot they expose (including the zero padding), so no
-        // per-call zeroing is needed and the steady-state hot loop allocates
-        // nothing.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
-                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-        }
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let (buffer_b, buffer_a) = &mut *scratch;
-            let b_len = if prepacked_b.is_some() {
-                0
-            } else {
-                KC.min(k) * NC.min(n).next_multiple_of(NR)
-            };
-            let a_len = MC.min(row_end - row_start).next_multiple_of(MR) * KC.min(k);
-            if buffer_b.len() < b_len {
-                buffer_b.resize(b_len, 0.0);
-            }
-            if buffer_a.len() < a_len {
-                buffer_a.resize(a_len, 0.0);
-            }
-            gemm_blocks(
-                row_start,
-                row_end,
-                trans_a,
-                trans_b,
-                m,
-                n,
-                k,
-                alpha,
-                a,
-                b,
-                beta,
-                c_chunk,
-                prepacked_b,
-                &mut buffer_b[..b_len],
-                &mut buffer_a[..a_len],
-            );
-        });
-    }
-
-    /// The blocked loop nest of [`gemm_rows`], operating on caller-provided
-    /// packing scratch (or a shared pre-packed `B`).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_blocks(
-        row_start: usize,
-        row_end: usize,
-        trans_a: bool,
-        trans_b: bool,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        beta: f32,
-        c_chunk: &mut [f32],
-        prepacked_b: Option<&[f32]>,
-        packed_b_scratch: &mut [f32],
-        packed_a: &mut [f32],
-    ) {
-        let mut shared_offset = 0;
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            let nc_pad = nc.next_multiple_of(NR);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                let panel_b: &[f32] = match prepacked_b {
-                    Some(shared) => {
-                        let block = &shared[shared_offset..shared_offset + kc * nc_pad];
-                        shared_offset += kc * nc_pad;
-                        block
-                    }
-                    None => {
-                        pack_b(packed_b_scratch, b, trans_b, k, n, pc, jc, kc, nc);
-                        &packed_b_scratch[..kc * nc_pad]
-                    }
-                };
-                let first_k_block = pc == 0;
-                let mut ic = row_start;
-                while ic < row_end {
-                    let mc = MC.min(row_end - ic);
-                    pack_a(packed_a, a, trans_a, m, k, ic, pc, mc, kc, alpha);
-                    macro_kernel(
-                        packed_a,
-                        panel_b,
-                        mc,
-                        nc,
-                        kc,
-                        c_chunk,
-                        (ic - row_start) * n + jc,
-                        n,
-                        beta,
-                        first_k_block,
-                    );
-                    ic += mc;
-                }
-            }
-        }
-    }
-
-    /// Packs the `kc x nc` block of `op(B)` at `(pc, jc)` into NR-wide column
-    /// panels, each laid out k-major: panel `jp` holds `kc` rows of `NR`
-    /// consecutive values `op(B)[pc + p][jc + jp .. jc + jp + NR]`, zero-padded
-    /// past `nc`.
-    #[allow(clippy::too_many_arguments)]
-    fn pack_b(
-        packed: &mut [f32],
-        b: &[f32],
-        trans_b: bool,
-        k: usize,
-        n: usize,
-        pc: usize,
-        jc: usize,
-        kc: usize,
-        nc: usize,
-    ) {
-        let mut offset = 0;
-        for jp in (0..nc).step_by(NR) {
-            let width = NR.min(nc - jp);
-            for p in 0..kc {
-                let dst = &mut packed[offset + p * NR..offset + p * NR + NR];
-                if trans_b {
-                    // Stored B is n x k; op(B)[p][j] = b[j * k + p].
-                    for (j, slot) in dst.iter_mut().take(width).enumerate() {
-                        *slot = b[(jc + jp + j) * k + pc + p];
-                    }
-                } else {
-                    dst[..width].copy_from_slice(&b[(pc + p) * n + jc + jp..][..width]);
-                }
-                dst[width..].fill(0.0);
-            }
-            offset += kc * NR;
-        }
-    }
-
-    /// Packs the `mc x kc` block of `op(A)` at `(ic, pc)` into MR-tall row
-    /// panels laid out k-major (`panel[p * MR + i] = alpha * op(A)[ic + ip + i]
-    /// [pc + p]`), zero-padded past `mc`. Folding `alpha` in here keeps the
-    /// micro-kernel multiply-add only — and is exact for `alpha == 1`.
-    #[allow(clippy::too_many_arguments)]
-    fn pack_a(
-        packed: &mut [f32],
-        a: &[f32],
-        trans_a: bool,
-        m: usize,
-        k: usize,
-        ic: usize,
-        pc: usize,
-        mc: usize,
-        kc: usize,
-        alpha: f32,
-    ) {
-        let mut offset = 0;
-        for ip in (0..mc).step_by(MR) {
-            let height = MR.min(mc - ip);
-            if !trans_a && height == MR {
-                // Common full-panel case: interleave MR contiguous source rows.
-                // The fixed-stride store group vectorises, unlike the generic
-                // scalar loop below.
-                let rows: [&[f32]; MR] =
-                    std::array::from_fn(|i| &a[(ic + ip + i) * k + pc..][..kc]);
-                let dst = &mut packed[offset..offset + kc * MR];
-                for p in 0..kc {
-                    for (i, row) in rows.iter().enumerate() {
-                        dst[p * MR + i] = alpha * row[p];
-                    }
-                }
-            } else {
-                for p in 0..kc {
-                    let dst = &mut packed[offset + p * MR..offset + p * MR + MR];
-                    for (i, slot) in dst.iter_mut().take(height).enumerate() {
-                        let value = if trans_a {
-                            // Stored A is k x m; op(A)[i][p] = a[p * m + i].
-                            a[(pc + p) * m + ic + ip + i]
-                        } else {
-                            a[(ic + ip + i) * k + pc + p]
-                        };
-                        *slot = alpha * value;
-                    }
-                    dst[height..].fill(0.0);
-                }
-            }
-            offset += kc * MR;
-        }
-    }
-
-    /// Drives the micro-kernel over every `MR x NR` tile of an `mc x nc` block
-    /// of `C` starting at `c_offset` (leading dimension `ldc`).
-    #[allow(clippy::too_many_arguments)]
-    fn macro_kernel(
-        packed_a: &[f32],
-        packed_b: &[f32],
-        mc: usize,
-        nc: usize,
-        kc: usize,
-        c: &mut [f32],
-        c_offset: usize,
-        ldc: usize,
-        beta: f32,
-        first_k_block: bool,
-    ) {
-        for jr in (0..nc).step_by(NR) {
-            let width = NR.min(nc - jr);
-            let panel_b = &packed_b[(jr / NR) * kc * NR..][..kc * NR];
-            for ir in (0..mc).step_by(MR) {
-                let height = MR.min(mc - ir);
-                let panel_a = &packed_a[(ir / MR) * kc * MR..][..kc * MR];
-                micro_kernel(
-                    panel_a,
-                    panel_b,
-                    kc,
-                    c,
-                    c_offset + ir * ldc + jr,
-                    ldc,
-                    height,
-                    width,
-                    beta,
-                    first_k_block,
-                );
-            }
-        }
-    }
-
-    /// Columns held in each of the micro-kernel's three accumulator thirds.
-    const NRH: usize = NR / 3;
-
-    /// The register-tiled core: accumulates one `MR x NR` tile of `C` over a
-    /// whole `kc` slice in local accumulators, then writes the valid
-    /// `height x width` region back. Initialising the accumulators from `C`
-    /// (scaled by `beta` only on the first `K` block) is what keeps the
-    /// per-element accumulation chain identical to the naive triple loop.
-    ///
-    /// The tile is held as three `MR x NRH` column-third arrays rather than one
-    /// `MR x NR` array: LLVM's scalar-replacement pass only promotes small
-    /// aggregates to registers, and splitting the tile keeps each third under
-    /// that limit so the whole accumulator stays in SIMD registers across the
-    /// `kc` loop (one `MR x NR` array would spill to the stack).
-    ///
-    /// `manual_memcpy` is allowed deliberately: writing the spill/reload loops
-    /// as `copy_from_slice` takes references to the accumulator arrays, which
-    /// blocks their scalar replacement — the index loops keep them in
-    /// registers.
-    #[allow(clippy::too_many_arguments, clippy::manual_memcpy)]
-    #[inline]
-    fn micro_kernel(
-        panel_a: &[f32],
-        panel_b: &[f32],
-        kc: usize,
-        c: &mut [f32],
-        c_offset: usize,
-        ldc: usize,
-        height: usize,
-        width: usize,
-        beta: f32,
-        first_k_block: bool,
-    ) {
-        let mut acc_l = [[0.0f32; NRH]; MR];
-        let mut acc_m = [[0.0f32; NRH]; MR];
-        let mut acc_r = [[0.0f32; NRH]; MR];
-        let width_l = width.min(NRH);
-        let width_m = width.saturating_sub(NRH).min(NRH);
-        let width_r = width.saturating_sub(2 * NRH);
-        if first_k_block {
-            if beta != 0.0 {
-                for i in 0..height {
-                    let c_row = &c[c_offset + i * ldc..][..width];
-                    for j in 0..width_l {
-                        acc_l[i][j] = beta * c_row[j];
-                    }
-                    for j in 0..width_m {
-                        acc_m[i][j] = beta * c_row[NRH + j];
-                    }
-                    for j in 0..width_r {
-                        acc_r[i][j] = beta * c_row[2 * NRH + j];
-                    }
-                }
-            }
-        } else {
-            for i in 0..height {
-                let c_row = &c[c_offset + i * ldc..][..width];
-                for j in 0..width_l {
-                    acc_l[i][j] = c_row[j];
-                }
-                for j in 0..width_m {
-                    acc_m[i][j] = c_row[NRH + j];
-                }
-                for j in 0..width_r {
-                    acc_r[i][j] = c_row[2 * NRH + j];
-                }
-            }
-        }
-        for p in 0..kc {
-            let b_l: &[f32; NRH] = panel_b[p * NR..]
-                .first_chunk()
-                .expect("packed B panel is kc * NR long");
-            let b_m: &[f32; NRH] = panel_b[p * NR + NRH..]
-                .first_chunk()
-                .expect("packed B panel is kc * NR long");
-            let b_r: &[f32; NRH] = panel_b[p * NR + 2 * NRH..]
-                .first_chunk()
-                .expect("packed B panel is kc * NR long");
-            let a_col: &[f32; MR] = panel_a[p * MR..]
-                .first_chunk()
-                .expect("packed A panel is kc * MR long");
-            for i in 0..MR {
-                let a_value = a_col[i];
-                let left = &mut acc_l[i];
-                for j in 0..NRH {
-                    left[j] = fused_mul_add(a_value, b_l[j], left[j]);
-                }
-                let middle = &mut acc_m[i];
-                for j in 0..NRH {
-                    middle[j] = fused_mul_add(a_value, b_m[j], middle[j]);
-                }
-                let right = &mut acc_r[i];
-                for j in 0..NRH {
-                    right[j] = fused_mul_add(a_value, b_r[j], right[j]);
-                }
-            }
-        }
-        for i in 0..height {
-            let c_row = &mut c[c_offset + i * ldc..][..width];
-            for j in 0..width_l {
-                c_row[j] = acc_l[i][j];
-            }
-            for j in 0..width_m {
-                c_row[NRH + j] = acc_m[i][j];
-            }
-            for j in 0..width_r {
-                c_row[2 * NRH + j] = acc_r[i][j];
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The PR-3 layer-wise baseline, reproduced verbatim
-// ---------------------------------------------------------------------------
-
-/// PR-3's `im2col_group`: unfolds one `(batch, group)` unit channel-major
-/// into a `[cin_g * k * k, out_plane]` column matrix.
-#[allow(clippy::too_many_arguments)]
-fn pr3_im2col_group(
-    dst: &mut [f32],
-    src: &[f32],
-    spec: &Conv2dSpec,
-    (height, width): (usize, usize),
-    (out_h, out_w): (usize, usize),
-    batch_index: usize,
-    channel_start: usize,
-) {
-    let cin_g = spec.in_channels / spec.groups;
-    let k = spec.kernel;
-    let pad = spec.padding as isize;
-    let out_plane = out_h * out_w;
-    for ic_local in 0..cin_g {
-        let in_base = (batch_index * spec.in_channels + channel_start + ic_local) * height * width;
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ic_local * k + ky) * k + kx;
-                let out_row = &mut dst[row * out_plane..][..out_plane];
-                for oy in 0..out_h {
-                    let in_y = (oy * spec.stride + ky) as isize - pad;
-                    let dst_row = &mut out_row[oy * out_w..(oy + 1) * out_w];
-                    if in_y < 0 || in_y >= height as isize {
-                        dst_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &src[in_base + in_y as usize * width..][..width];
-                    for (ox, slot) in dst_row.iter_mut().enumerate() {
-                        let in_x = (ox * spec.stride + kx) as isize - pad;
-                        *slot = if in_x >= 0 && in_x < width as isize {
-                            src_row[in_x as usize]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// PR-3's `conv2d` forward: fresh zeroed output, bias prefill accumulated
-/// through the GEMM's `beta == 1` path, and a fresh im2col scratch buffer
-/// per `(batch, group)` unit — every convolution, dense and depthwise
-/// alike, pays the lowering.
-fn pr3_conv2d(conv: &Conv2d, input: &Tensor) -> Tensor {
-    let spec = *conv.spec();
-    let params = conv.parameters();
-    let (weight, bias) = (params[0].value(), params[1].value());
-    let dims = input.dims();
-    let (batch, height, width) = (dims[0], dims[2], dims[3]);
-    let (out_h, out_w) = spec.output_size(height, width).expect("bench spec fits");
-    let (cin_g, cout_g) = (
-        spec.in_channels / spec.groups,
-        spec.out_channels / spec.groups,
-    );
-    let ckk = cin_g * spec.kernel * spec.kernel;
-    let out_plane = out_h * out_w;
-    let mut out = vec![0.0f32; batch * spec.out_channels * out_plane];
-    let bias_values = bias.as_slice();
-    for (channel_plane, plane) in out.chunks_mut(out_plane).enumerate() {
-        plane.fill(bias_values[channel_plane % spec.out_channels]);
-    }
-    let src = input.as_slice();
-    let w = weight.as_slice();
-    let unit_len = cout_g * out_plane;
-    for (unit_index, unit) in out.chunks_mut(unit_len).enumerate() {
-        let (b, group) = (unit_index / spec.groups, unit_index % spec.groups);
-        let mut cols = vec![0.0f32; ckk * out_plane];
-        pr3_im2col_group(
-            &mut cols,
-            src,
-            &spec,
-            (height, width),
-            (out_h, out_w),
-            b,
-            group * cin_g,
-        );
-        let w_group = &w[group * cout_g * ckk..][..cout_g * ckk];
-        pr3_gemm::sgemm(
-            false, false, cout_g, out_plane, ckk, 1.0, w_group, &cols, 1.0, unit,
-        );
-    }
-    Tensor::from_vec(out, &[batch, spec.out_channels, out_h, out_w]).expect("pr3 conv shape")
-}
-
-/// PR-3's batch-norm inference pass: a separate full-tensor pass through a
-/// fresh output buffer. (`epsilon` is `BatchNorm2d`'s fixed 1e-5.)
-fn pr3_batch_norm(bn: &BatchNorm2d, input: &Tensor) -> Tensor {
-    let params = bn.parameters();
-    let (gamma, beta) = (params[0].value().as_slice(), params[1].value().as_slice());
-    let dims = input.dims();
-    let (batch, channels) = (dims[0], dims[1]);
-    let plane = dims[2] * dims[3];
-    let src = input.as_slice();
-    let mut out = vec![0.0f32; src.len()];
-    for c in 0..channels {
-        let mean = bn.running_mean()[c];
-        let inv = 1.0 / (bn.running_var()[c] + 1e-5).sqrt();
-        let (g, b_shift) = (gamma[c], beta[c]);
-        for b in 0..batch {
-            let base = (b * channels + c) * plane;
-            for i in 0..plane {
-                out[base + i] = g * (src[base + i] - mean) * inv + b_shift;
-            }
-        }
-    }
-    Tensor::from_vec(out, dims).expect("pr3 bn shape")
-}
-
-fn pr3_hard_swish(x: f32) -> f32 {
-    x * ((x + 3.0) / 6.0).clamp(0.0, 1.0)
-}
-
-/// One full PR-3 layer-wise forward pass over a concrete op stack.
-fn pr3_forward(ops: &[ConcreteOp], input: &Tensor) -> Tensor {
-    let mut current = input.clone();
-    for op in ops {
-        current = match op {
-            ConcreteOp::Conv(conv) => pr3_conv2d(conv, &current),
-            ConcreteOp::Bn(bn) => pr3_batch_norm(bn, &current),
-            ConcreteOp::Relu => current.map(|x| x.max(0.0)),
-            ConcreteOp::HardSwish => current.map(pr3_hard_swish),
-            ConcreteOp::MaxPool(w, s) => max_pool2d_infer(&current, *w, *s).expect("pr3 pool"),
-            ConcreteOp::Gap => global_avg_pool2d(&current).expect("pr3 gap"),
-            ConcreteOp::Flatten => current.flatten_batch().expect("pr3 flatten"),
-        };
-    }
-    current
-}
-
-/// PR-3's `Linear::infer`: bias rows prefilled, `beta == 1` GEMM.
-fn pr3_linear(layer: &Linear, input: &Tensor) -> Tensor {
-    let params = layer.parameters();
-    let (weight, bias) = (params[0].value(), params[1].value());
-    let batch = input.dims()[0];
-    let out_features = layer.out_features();
-    let mut out = Vec::with_capacity(batch * out_features);
-    for _ in 0..batch {
-        out.extend_from_slice(bias.as_slice());
-    }
-    pr3_gemm::sgemm(
-        false,
-        true,
-        batch,
-        out_features,
-        layer.in_features(),
-        1.0,
-        input.as_slice(),
-        weight.as_slice(),
-        1.0,
-        &mut out,
-    );
-    Tensor::from_vec(out, &[batch, out_features]).expect("pr3 linear shape")
-}
-
-// ---------------------------------------------------------------------------
-// Serving heads (the worker compute path)
-// ---------------------------------------------------------------------------
-
-const FEATURES: usize = 128;
-
-/// Two MLP task heads reading `in_features` shared features — the
-/// serving-bench shapes.
-fn head_shapes(in_features: usize) -> [(usize, usize, usize); 2] {
-    [(in_features, 512, 8), (in_features, 256, 4)]
-}
-
-fn build_concrete_heads(in_features: usize, seed: u64) -> Vec<(Linear, Linear)> {
-    let mut rng = StdRng::seed_from(seed);
-    head_shapes(in_features)
-        .iter()
-        .map(|&(inp, hidden, classes)| {
-            (
-                Linear::new(inp, hidden, &mut rng),
-                Linear::new(hidden, classes, &mut rng),
-            )
-        })
-        .collect()
-}
-
-fn build_boxed_heads(in_features: usize, seed: u64) -> Vec<Box<dyn Layer>> {
-    let mut rng = StdRng::seed_from(seed);
-    head_shapes(in_features)
-        .iter()
-        .map(|&(inp, hidden, classes)| {
-            Box::new(
-                Sequential::new()
-                    .push(Linear::new(inp, hidden, &mut rng))
-                    .push(Relu::new())
-                    .push(Linear::new(hidden, classes, &mut rng)),
-            ) as Box<dyn Layer>
-        })
-        .collect()
-}
-
-fn pr3_head(head: &(Linear, Linear), z: &Tensor) -> Tensor {
-    let hidden = pr3_linear(&head.0, z).map(|x| x.max(0.0));
-    pr3_linear(&head.1, &hidden)
-}
-
-// ---------------------------------------------------------------------------
 // Measurements
 // ---------------------------------------------------------------------------
 
@@ -858,7 +110,6 @@ struct PathStats {
 struct ServingMeasurement {
     requests: usize,
     planned: PathStats,
-    allocating: PathStats,
     pr3: PathStats,
 }
 
@@ -872,13 +123,10 @@ fn measure_serving(reps: usize, requests: usize) -> ServingMeasurement {
     let z = Tensor::randn(&[1, FEATURES], 0.0, 1.0, &mut rng);
     let mut plan = InferPlan::new();
 
-    // Bit-identity gate across all three paths before anything is timed.
+    // Bit-identity gate before anything is timed.
     for (head, legacy) in boxed.iter().zip(&concrete) {
         let planned = plan.run(head.as_ref(), &z).expect("planned head pass");
-        let allocating = head.infer(&z).expect("allocating head pass");
-        let pr3 = pr3_head(legacy, &z);
-        assert_eq!(planned, allocating, "planned/allocating head divergence");
-        assert_eq!(allocating, pr3, "allocating/pr3 head divergence");
+        assert_eq!(planned, pr3_head(legacy, &z), "planned/pr3 head divergence");
         plan.recycle(planned);
     }
 
@@ -917,11 +165,6 @@ fn measure_serving(reps: usize, requests: usize) -> ServingMeasurement {
         }
         (allocations() - before) as f64 / requests as f64
     };
-    let allocating_allocs = count_allocs(&mut || {
-        for head in &boxed {
-            criterion::black_box(head.infer(&z).expect("allocating request"));
-        }
-    });
     let pr3_allocs = count_allocs(&mut || {
         for head in &concrete {
             criterion::black_box(pr3_head(head, &z));
@@ -935,13 +178,6 @@ fn measure_serving(reps: usize, requests: usize) -> ServingMeasurement {
             }
             for output in outputs.drain(..) {
                 plan.recycle(output);
-            }
-        }
-    }) / requests as f64;
-    let allocating_ms = best_ms(reps, || {
-        for _ in 0..requests {
-            for head in &boxed {
-                criterion::black_box(head.infer(&z).expect("allocating request"));
             }
         }
     }) / requests as f64;
@@ -959,10 +195,6 @@ fn measure_serving(reps: usize, requests: usize) -> ServingMeasurement {
             allocs_per_request: 0.0,
             latency_ms: planned_ms,
         },
-        allocating: PathStats {
-            allocs_per_request: allocating_allocs,
-            latency_ms: allocating_ms,
-        },
         pr3: PathStats {
             allocs_per_request: pr3_allocs,
             latency_ms: pr3_ms,
@@ -973,12 +205,11 @@ fn measure_serving(reps: usize, requests: usize) -> ServingMeasurement {
 struct EdgeMeasurement {
     stack: &'static str,
     planned: PathStats,
-    allocating: PathStats,
     pr3: PathStats,
 }
 
-/// Single-image edge latency through a full backbone-style stack, across
-/// all three paths.
+/// Single-image edge latency through a full backbone-style stack, on both
+/// paths.
 fn measure_edge(spec: &[OpSpec], label: &'static str, seed: u64, reps: usize) -> EdgeMeasurement {
     let concrete = build_concrete(spec, seed);
     let net = build_sequential(spec, seed);
@@ -988,13 +219,11 @@ fn measure_edge(spec: &[OpSpec], label: &'static str, seed: u64, reps: usize) ->
 
     // Bit-identity gate plus warm-up.
     let planned = plan.run(&net, &x).expect("planned edge pass");
-    let allocating = net.infer(&x).expect("allocating edge pass");
-    let pr3 = pr3_forward(&concrete, &x);
     assert_eq!(
-        planned, allocating,
-        "{label}: planned/allocating divergence"
+        planned,
+        pr3_forward(&concrete, &x),
+        "{label}: planned/pr3 divergence"
     );
-    assert_eq!(allocating, pr3, "{label}: allocating/pr3 divergence");
     plan.recycle(planned);
     for _ in 0..2 {
         let out = plan.run(&net, &x).expect("warm-up");
@@ -1021,9 +250,6 @@ fn measure_edge(spec: &[OpSpec], label: &'static str, seed: u64, reps: usize) ->
         planned_allocs, 0.0,
         "{label}: the planned edge pass must be allocation-free in steady state"
     );
-    let allocating_allocs = count_allocs(&mut || {
-        criterion::black_box(net.infer(&x).expect("allocating image"));
-    });
     let pr3_allocs = count_allocs(&mut || {
         criterion::black_box(pr3_forward(&concrete, &x));
     });
@@ -1031,9 +257,6 @@ fn measure_edge(spec: &[OpSpec], label: &'static str, seed: u64, reps: usize) ->
     let planned_ms = best_ms(reps, || {
         let out = plan.run(&net, &x).expect("planned image");
         plan.recycle(out);
-    });
-    let allocating_ms = best_ms(reps, || {
-        criterion::black_box(net.infer(&x).expect("allocating image"));
     });
     let pr3_ms = best_ms(reps, || {
         criterion::black_box(pr3_forward(&concrete, &x));
@@ -1044,10 +267,6 @@ fn measure_edge(spec: &[OpSpec], label: &'static str, seed: u64, reps: usize) ->
         planned: PathStats {
             allocs_per_request: planned_allocs,
             latency_ms: planned_ms,
-        },
-        allocating: PathStats {
-            allocs_per_request: allocating_allocs,
-            latency_ms: allocating_ms,
         },
         pr3: PathStats {
             allocs_per_request: pr3_allocs,
@@ -1100,12 +319,6 @@ fn measure_model(reps: usize) -> EdgeMeasurement {
         }
         plan.recycle(features);
     };
-    let allocating_pass = || {
-        let features = net.infer(&x).expect("allocating backbone");
-        for head in &boxed_heads {
-            criterion::black_box(head.infer(&features).expect("allocating head"));
-        }
-    };
     let pr3_pass = || {
         let features = pr3_forward(&concrete_net, &x);
         for head in &concrete_heads {
@@ -1113,21 +326,17 @@ fn measure_model(reps: usize) -> EdgeMeasurement {
         }
     };
 
-    // Bit-identity gate: all three full-model passes agree.
+    // Bit-identity gate: both full-model passes agree.
     {
         let features = plan.run(&net, &x).expect("planned backbone");
-        let reference = net.infer(&x).expect("allocating backbone");
-        assert_eq!(features, reference, "model: planned/allocating features");
         assert_eq!(
-            reference,
+            features,
             pr3_forward(&concrete_net, &x),
-            "model: pr3 features"
+            "model: planned/pr3 features"
         );
         for (head, legacy) in boxed_heads.iter().zip(&concrete_heads) {
             let planned = plan.run(head.as_ref(), &features).expect("planned head");
-            let allocating = head.infer(&features).expect("allocating head");
-            assert_eq!(planned, allocating, "model: planned/allocating logits");
-            assert_eq!(allocating, pr3_head(legacy, &features), "model: pr3 logits");
+            assert_eq!(planned, pr3_head(legacy, &features), "model: pr3 logits");
             plan.recycle(planned);
         }
         plan.recycle(features);
@@ -1153,11 +362,9 @@ fn measure_model(reps: usize) -> EdgeMeasurement {
         }
         (allocations() - before) as f64 / samples as f64
     };
-    let allocating_allocs = count_allocs(&mut || allocating_pass());
     let pr3_allocs = count_allocs(&mut || pr3_pass());
 
     let planned_ms = best_ms(reps, || planned_pass(&mut plan));
-    let allocating_ms = best_ms(reps, allocating_pass);
     let pr3_ms = best_ms(reps, pr3_pass);
 
     EdgeMeasurement {
@@ -1165,10 +372,6 @@ fn measure_model(reps: usize) -> EdgeMeasurement {
         planned: PathStats {
             allocs_per_request: planned_allocs,
             latency_ms: planned_ms,
-        },
-        allocating: PathStats {
-            allocs_per_request: allocating_allocs,
-            latency_ms: allocating_ms,
         },
         pr3: PathStats {
             allocs_per_request: pr3_allocs,
@@ -1305,26 +508,20 @@ fn dump_json(
     ));
     json.push_str(&format!(
         "  \"planned_serving\": {{\"requests\": {}, \
-         \"allocs_per_request_planned\": {:.1}, \"latency_planned_ms\": {:.5}, {}, {}}},\n",
+         \"allocs_per_request_planned\": {:.1}, \"latency_planned_ms\": {:.5}, {}}},\n",
         serving.requests,
         serving.planned.allocs_per_request,
         serving.planned.latency_ms,
-        stats_json(
-            "allocating",
-            &serving.allocating,
-            serving.planned.latency_ms
-        ),
         stats_json("pr3_baseline", &serving.pr3, serving.planned.latency_ms),
     ));
     json.push_str("  \"edge_single_image\": [\n");
     for (index, row) in edge.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"stack\": \"{}\", \"allocs_per_image_planned\": {:.1}, \
-             \"latency_planned_ms\": {:.4}, {}, {}}}{}\n",
+             \"latency_planned_ms\": {:.4}, {}}}{}\n",
             row.stack,
             row.planned.allocs_per_request,
             row.planned.latency_ms,
-            stats_json("allocating", &row.allocating, row.planned.latency_ms),
             stats_json("pr3_baseline", &row.pr3, row.planned.latency_ms),
             if index + 1 == edge.len() { "" } else { "," }
         ));
@@ -1347,12 +544,8 @@ fn bench_inference(_c: &mut Criterion) {
 
     let serving = measure_serving(reps, requests);
     println!(
-        "planned serving: 0 allocs/request, {:.4} ms | allocating: {:.1} allocs, {:.4} ms \
-         ({:.2}x) | pr3: {:.1} allocs, {:.4} ms ({:.2}x)",
+        "planned serving: 0 allocs/request, {:.4} ms | pr3: {:.1} allocs, {:.4} ms ({:.2}x)",
         serving.planned.latency_ms,
-        serving.allocating.allocs_per_request,
-        serving.allocating.latency_ms,
-        serving.allocating.latency_ms / serving.planned.latency_ms,
         serving.pr3.allocs_per_request,
         serving.pr3.latency_ms,
         serving.pr3.latency_ms / serving.planned.latency_ms,
@@ -1365,13 +558,9 @@ fn bench_inference(_c: &mut Criterion) {
     ];
     for row in &edge {
         println!(
-            "edge {}: planned 0 allocs, {:.3} ms | allocating: {:.1} allocs, {:.3} ms ({:.2}x) \
-             | pr3: {:.1} allocs, {:.3} ms ({:.2}x)",
+            "edge {}: planned 0 allocs, {:.3} ms | pr3: {:.1} allocs, {:.3} ms ({:.2}x)",
             row.stack,
             row.planned.latency_ms,
-            row.allocating.allocs_per_request,
-            row.allocating.latency_ms,
-            row.allocating.latency_ms / row.planned.latency_ms,
             row.pr3.allocs_per_request,
             row.pr3.latency_ms,
             row.pr3.latency_ms / row.planned.latency_ms,

@@ -1,5 +1,5 @@
 //! Training-step benchmark: the planned, zero-allocation `TrainPlan` path
-//! against the allocating layer-wise path it replaces, plus the paper's
+//! against the seed training step it replaces, plus the paper's
 //! joint-MTL-vs-per-task-STL comparison.
 //!
 //! Two claims are machine-checked, not just recorded:
@@ -11,8 +11,9 @@
 //!    measurement pins `Parallelism::single()`, the per-worker/edge regime;
 //!    multi-threaded runs additionally spawn scoped worker threads inside
 //!    the large GEMMs.
-//! 2. **Bit-identity.** Before anything is timed, both paths step two
-//!    identically-seeded models and every parameter must stay `==`.
+//! 2. **Bit-identity.** Before anything is timed, the planned step and the
+//!    seed step vendored in `mtlsplit_bench::reference::seed` train two
+//!    identically-seeded models; losses and every parameter must stay `==`.
 //!
 //! Results go to `BENCH_training.json` at the repository root (hand-rolled
 //! JSON — the workspace has no serde); `MTLSPLIT_BENCH_QUICK=1` selects the
@@ -24,12 +25,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mtlsplit_bench::reference::seed;
 use mtlsplit_core::MtlSplitModel;
 use mtlsplit_data::TaskSpec;
 use mtlsplit_models::BackboneKind;
-use mtlsplit_nn::{AdamW, CrossEntropyLoss, TrainPlan};
+use mtlsplit_nn::{AdamW, TrainPlan};
 use mtlsplit_obs as obs;
-use mtlsplit_tensor::{global_avg_pool2d, sgemm, Conv2dSpec, Parallelism, StdRng, Tensor};
+use mtlsplit_tensor::{Parallelism, StdRng, Tensor};
 
 // ---------------------------------------------------------------------------
 // Counting allocator
@@ -117,787 +119,6 @@ fn batch(rng: &mut StdRng) -> (Tensor, Vec<Vec<usize>>) {
     (images, labels)
 }
 
-// ---------------------------------------------------------------------------
-// The seed (PR-4) training step, reproduced verbatim
-// ---------------------------------------------------------------------------
-
-/// The previous training step, reproduced the way `benches/inference.rs`
-/// reproduces the PR-3 serving path: every layer allocates fresh output,
-/// cache and gradient tensors; the convolution backward is the generic
-/// lowered formulation for every case (grad-cols GEMM + col2im fold, and a
-/// fresh im2col per `(batch, group)` unit feeding the weight-gradient GEMMs
-/// — no pointwise or depthwise fast paths, no forward column cache); AdamW
-/// updates through allocating `scale`/`mul`/`zip` tensors. Weights are
-/// copied from an identically-seeded model, and a fidelity gate asserts the
-/// vendored step trains **bit-identically** to the in-tree path before
-/// anything is timed.
-mod seed {
-    use super::*;
-    use mtlsplit_tensor::{ActivationGrad, EpilogueActivation};
-
-    /// Seed `im2col_group`: unfolds one `(batch, group)` unit channel-major
-    /// into a `[cin_g * k * k, out_plane]` column matrix.
-    #[allow(clippy::too_many_arguments)]
-    fn im2col_group(
-        dst: &mut [f32],
-        src: &[f32],
-        spec: &Conv2dSpec,
-        (height, width): (usize, usize),
-        (out_h, out_w): (usize, usize),
-        batch_index: usize,
-        channel_start: usize,
-    ) {
-        let cin_g = spec.in_channels / spec.groups;
-        let k = spec.kernel;
-        let pad = spec.padding as isize;
-        let out_plane = out_h * out_w;
-        for ic_local in 0..cin_g {
-            let in_base =
-                (batch_index * spec.in_channels + channel_start + ic_local) * height * width;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (ic_local * k + ky) * k + kx;
-                    let out_row = &mut dst[row * out_plane..][..out_plane];
-                    for oy in 0..out_h {
-                        let in_y = (oy * spec.stride + ky) as isize - pad;
-                        let dst_row = &mut out_row[oy * out_w..(oy + 1) * out_w];
-                        if in_y < 0 || in_y >= height as isize {
-                            dst_row.fill(0.0);
-                            continue;
-                        }
-                        let src_row = &src[in_base + in_y as usize * width..][..width];
-                        for (ox, slot) in dst_row.iter_mut().enumerate() {
-                            let in_x = (ox * spec.stride + kx) as isize - pad;
-                            *slot = if in_x >= 0 && in_x < width as isize {
-                                src_row[in_x as usize]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Seed `col2im_group`: the adjoint fold of [`im2col_group`].
-    fn col2im_group(
-        cols: &[f32],
-        unit: &mut [f32],
-        spec: &Conv2dSpec,
-        (height, width): (usize, usize),
-        (out_h, out_w): (usize, usize),
-    ) {
-        let cin_g = spec.in_channels / spec.groups;
-        let k = spec.kernel;
-        let pad = spec.padding as isize;
-        let out_plane = out_h * out_w;
-        for ic_local in 0..cin_g {
-            let unit_base = ic_local * height * width;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (ic_local * k + ky) * k + kx;
-                    let src_row = &cols[row * out_plane..][..out_plane];
-                    for oy in 0..out_h {
-                        let in_y = (oy * spec.stride + ky) as isize - pad;
-                        if in_y < 0 || in_y >= height as isize {
-                            continue;
-                        }
-                        let dst_row = &mut unit[unit_base + in_y as usize * width..][..width];
-                        for (ox, &value) in src_row[oy * out_w..(oy + 1) * out_w].iter().enumerate()
-                        {
-                            let in_x = (ox * spec.stride + kx) as isize - pad;
-                            if in_x >= 0 && in_x < width as isize {
-                                dst_row[in_x as usize] += value;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The seed's generic lowered convolution backward: fresh buffers, one
-    /// grad-cols GEMM + col2im per unit, one fresh im2col per `(batch,
-    /// group)` unit in the weight-gradient loop — for every convolution
-    /// kind, pointwise and depthwise included.
-    fn conv2d_backward(
-        input: &Tensor,
-        weight: &Tensor,
-        grad_output: &Tensor,
-        spec: &Conv2dSpec,
-    ) -> (Tensor, Tensor, Tensor) {
-        let dims = input.dims();
-        let (batch, height, width) = (dims[0], dims[2], dims[3]);
-        let (out_h, out_w) = spec.output_size(height, width).expect("seed conv fits");
-        let cin_g = spec.in_channels / spec.groups;
-        let cout_g = spec.out_channels / spec.groups;
-        let ckk = cin_g * spec.kernel * spec.kernel;
-        let out_plane = out_h * out_w;
-        let src = input.as_slice();
-        let w = weight.as_slice();
-        let go = grad_output.as_slice();
-        let par = Parallelism::single();
-
-        let mut grad_bias = vec![0.0f32; spec.out_channels];
-        for (oc, slot) in grad_bias.iter_mut().enumerate() {
-            for b in 0..batch {
-                let plane = &go[(b * spec.out_channels + oc) * out_plane..][..out_plane];
-                for &value in plane {
-                    *slot += value;
-                }
-            }
-        }
-
-        let mut grad_input = vec![0.0f32; src.len()];
-        let unit_len = cin_g * height * width;
-        for (unit_index, unit) in grad_input.chunks_mut(unit_len).enumerate() {
-            let (b, group) = (unit_index / spec.groups, unit_index % spec.groups);
-            let w_group = &w[group * cout_g * ckk..][..cout_g * ckk];
-            let go_group =
-                &go[(b * spec.out_channels + group * cout_g) * out_plane..][..cout_g * out_plane];
-            let mut grad_cols = vec![0.0f32; ckk * out_plane];
-            sgemm(
-                true,
-                false,
-                ckk,
-                out_plane,
-                cout_g,
-                1.0,
-                w_group,
-                go_group,
-                0.0,
-                &mut grad_cols,
-                par,
-            );
-            col2im_group(&grad_cols, unit, spec, (height, width), (out_h, out_w));
-        }
-
-        let mut grad_weight = vec![0.0f32; w.len()];
-        for (group, unit) in grad_weight.chunks_mut(cout_g * ckk).enumerate() {
-            let mut cols = vec![0.0f32; ckk * out_plane];
-            for b in 0..batch {
-                im2col_group(
-                    &mut cols,
-                    src,
-                    spec,
-                    (height, width),
-                    (out_h, out_w),
-                    b,
-                    group * cin_g,
-                );
-                let go_group = &go[(b * spec.out_channels + group * cout_g) * out_plane..]
-                    [..cout_g * out_plane];
-                let beta = if b == 0 { 0.0 } else { 1.0 };
-                sgemm(
-                    false, true, cout_g, ckk, out_plane, 1.0, go_group, &cols, beta, unit, par,
-                );
-            }
-        }
-
-        (
-            Tensor::from_vec(grad_input, input.dims()).expect("seed grad_input"),
-            Tensor::from_vec(grad_weight, weight.dims()).expect("seed grad_weight"),
-            Tensor::from_vec(grad_bias, &[spec.out_channels]).expect("seed grad_bias"),
-        )
-    }
-
-    pub(super) struct BnCache {
-        normalized: Tensor,
-        std_inv: Vec<f32>,
-        dims: Vec<usize>,
-    }
-
-    /// One layer of the seed network: parameters, accumulated gradients and
-    /// the training caches, exactly as the seed layers kept them.
-    pub(super) enum Op {
-        Conv {
-            spec: Conv2dSpec,
-            weight: Tensor,
-            bias: Tensor,
-            grad_weight: Tensor,
-            grad_bias: Tensor,
-            cached: Option<Tensor>,
-        },
-        Bn {
-            gamma: Tensor,
-            beta: Tensor,
-            grad_gamma: Tensor,
-            grad_beta: Tensor,
-            running_mean: Vec<f32>,
-            running_var: Vec<f32>,
-            cache: Option<BnCache>,
-        },
-        HardSwish {
-            cached: Option<Tensor>,
-        },
-        Relu {
-            cached: Option<Tensor>,
-        },
-        Gap {
-            dims: Option<Vec<usize>>,
-        },
-        Flatten {
-            dims: Option<Vec<usize>>,
-        },
-        Linear {
-            in_features: usize,
-            out_features: usize,
-            weight: Tensor,
-            bias: Tensor,
-            grad_weight: Tensor,
-            grad_bias: Tensor,
-            cached: Option<Tensor>,
-        },
-    }
-
-    impl Op {
-        fn forward(&mut self, input: &Tensor) -> Tensor {
-            match self {
-                Op::Conv {
-                    spec,
-                    weight,
-                    bias,
-                    cached,
-                    ..
-                } => {
-                    *cached = Some(input.clone());
-                    mtlsplit_tensor::conv2d(input, weight, Some(bias), spec).expect("seed conv")
-                }
-                Op::Bn {
-                    gamma,
-                    beta,
-                    running_mean,
-                    running_var,
-                    cache,
-                    ..
-                } => {
-                    // The seed's train-mode batch norm: batch statistics,
-                    // running-average update, fresh buffers.
-                    let dims = input.dims().to_vec();
-                    let (batch, channels, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-                    let plane = h * w;
-                    let count = (batch * plane).max(1) as f32;
-                    let momentum = 0.1f32;
-                    let epsilon = 1e-5f32;
-                    let src = input.as_slice();
-                    let mut out = vec![0.0f32; src.len()];
-                    let mut normalized = vec![0.0f32; src.len()];
-                    let mut std_inv = vec![0.0f32; channels];
-                    for (c, std_inv_slot) in std_inv.iter_mut().enumerate() {
-                        let mut mean = 0.0f32;
-                        for b in 0..batch {
-                            let base = (b * channels + c) * plane;
-                            mean += src[base..base + plane].iter().sum::<f32>();
-                        }
-                        mean /= count;
-                        let mut var = 0.0f32;
-                        for b in 0..batch {
-                            let base = (b * channels + c) * plane;
-                            var += src[base..base + plane]
-                                .iter()
-                                .map(|&x| (x - mean).powi(2))
-                                .sum::<f32>();
-                        }
-                        var /= count;
-                        running_mean[c] = (1.0 - momentum) * running_mean[c] + momentum * mean;
-                        running_var[c] = (1.0 - momentum) * running_var[c] + momentum * var;
-                        let inv = 1.0 / (var + epsilon).sqrt();
-                        *std_inv_slot = inv;
-                        let g = gamma.as_slice()[c];
-                        let b_shift = beta.as_slice()[c];
-                        for b in 0..batch {
-                            let base = (b * channels + c) * plane;
-                            for i in 0..plane {
-                                let n = (src[base + i] - mean) * inv;
-                                normalized[base + i] = n;
-                                out[base + i] = g * n + b_shift;
-                            }
-                        }
-                    }
-                    *cache = Some(BnCache {
-                        normalized: Tensor::from_vec(normalized, &dims).expect("seed bn"),
-                        std_inv,
-                        dims: dims.clone(),
-                    });
-                    Tensor::from_vec(out, &dims).expect("seed bn out")
-                }
-                Op::HardSwish { cached } => {
-                    *cached = Some(input.clone());
-                    input.map(|x| EpilogueActivation::HardSwish.apply(x))
-                }
-                Op::Relu { cached } => {
-                    *cached = Some(input.clone());
-                    input.map(|x| EpilogueActivation::Relu.apply(x))
-                }
-                Op::Gap { dims } => {
-                    *dims = Some(input.dims().to_vec());
-                    global_avg_pool2d(input).expect("seed gap")
-                }
-                Op::Flatten { dims } => {
-                    *dims = Some(input.dims().to_vec());
-                    input.flatten_batch().expect("seed flatten")
-                }
-                Op::Linear {
-                    in_features,
-                    out_features,
-                    weight,
-                    bias,
-                    cached,
-                    ..
-                } => {
-                    *cached = Some(input.clone());
-                    let batch = input.dims()[0];
-                    let mut out = Vec::with_capacity(batch * *out_features);
-                    for _ in 0..batch {
-                        out.extend_from_slice(bias.as_slice());
-                    }
-                    sgemm(
-                        false,
-                        true,
-                        batch,
-                        *out_features,
-                        *in_features,
-                        1.0,
-                        input.as_slice(),
-                        weight.as_slice(),
-                        1.0,
-                        &mut out,
-                        Parallelism::single(),
-                    );
-                    Tensor::from_vec(out, &[batch, *out_features]).expect("seed linear")
-                }
-            }
-        }
-
-        fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-            match self {
-                Op::Conv {
-                    spec,
-                    weight,
-                    grad_weight,
-                    grad_bias,
-                    cached,
-                    ..
-                } => {
-                    let input = cached.as_ref().expect("seed conv cache");
-                    let (gi, gw, gb) = conv2d_backward(input, weight, grad_output, spec);
-                    grad_weight.add_scaled_inplace(&gw, 1.0).expect("seed gw");
-                    grad_bias.add_scaled_inplace(&gb, 1.0).expect("seed gb");
-                    gi
-                }
-                Op::Bn {
-                    gamma,
-                    grad_gamma,
-                    grad_beta,
-                    cache,
-                    ..
-                } => {
-                    let cache = cache.as_ref().expect("seed bn cache");
-                    let dims = &cache.dims;
-                    let (batch, channels, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-                    let plane = h * w;
-                    let count = (batch * plane).max(1) as f32;
-                    let go = grad_output.as_slice();
-                    let norm = cache.normalized.as_slice();
-                    let mut grad_input = vec![0.0f32; go.len()];
-                    let mut gg = vec![0.0f32; channels];
-                    let mut gb = vec![0.0f32; channels];
-                    for c in 0..channels {
-                        let g = gamma.as_slice()[c];
-                        let inv = cache.std_inv[c];
-                        let mut sum_dy = 0.0f32;
-                        let mut sum_dy_x = 0.0f32;
-                        for b in 0..batch {
-                            let base = (b * channels + c) * plane;
-                            for i in 0..plane {
-                                let dy = go[base + i];
-                                sum_dy += dy;
-                                sum_dy_x += dy * norm[base + i];
-                            }
-                        }
-                        gg[c] = sum_dy_x;
-                        gb[c] = sum_dy;
-                        for b in 0..batch {
-                            let base = (b * channels + c) * plane;
-                            for i in 0..plane {
-                                let dy = go[base + i];
-                                grad_input[base + i] = g * inv / count
-                                    * (count * dy - sum_dy - norm[base + i] * sum_dy_x);
-                            }
-                        }
-                    }
-                    grad_gamma
-                        .add_scaled_inplace(&Tensor::from_vec(gg, &[channels]).unwrap(), 1.0)
-                        .expect("seed bn gg");
-                    grad_beta
-                        .add_scaled_inplace(&Tensor::from_vec(gb, &[channels]).unwrap(), 1.0)
-                        .expect("seed bn gb");
-                    Tensor::from_vec(grad_input, dims).expect("seed bn grad")
-                }
-                Op::HardSwish { cached } => {
-                    let input = cached.as_ref().expect("seed hs cache");
-                    let local = input.map(|x| ActivationGrad::HardSwish.derivative(x));
-                    grad_output.mul(&local).expect("seed hs grad")
-                }
-                Op::Relu { cached } => {
-                    let input = cached.as_ref().expect("seed relu cache");
-                    let local = input.map(|x| ActivationGrad::Relu.derivative(x));
-                    grad_output.mul(&local).expect("seed relu grad")
-                }
-                Op::Gap { dims } => {
-                    let dims = dims.as_ref().expect("seed gap cache");
-                    let (batch, channels, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-                    let norm = 1.0 / (h * w).max(1) as f32;
-                    let go = grad_output.as_slice();
-                    let mut grad_input = Tensor::zeros(dims);
-                    let gi = grad_input.as_mut_slice();
-                    for b in 0..batch {
-                        for c in 0..channels {
-                            let g = go[b * channels + c] * norm;
-                            let base = (b * channels + c) * h * w;
-                            for v in &mut gi[base..base + h * w] {
-                                *v = g;
-                            }
-                        }
-                    }
-                    grad_input
-                }
-                Op::Flatten { dims } => {
-                    let dims = dims.as_ref().expect("seed flatten cache");
-                    grad_output.reshape(dims).expect("seed flatten grad")
-                }
-                Op::Linear {
-                    in_features,
-                    out_features,
-                    weight,
-                    grad_weight,
-                    grad_bias,
-                    cached,
-                    ..
-                } => {
-                    let input = cached.as_ref().expect("seed linear cache");
-                    let batch = grad_output.dims()[0];
-                    let par = Parallelism::single();
-                    let mut gw = vec![0.0f32; *out_features * *in_features];
-                    sgemm(
-                        true,
-                        false,
-                        *out_features,
-                        *in_features,
-                        batch,
-                        1.0,
-                        grad_output.as_slice(),
-                        input.as_slice(),
-                        0.0,
-                        &mut gw,
-                        par,
-                    );
-                    let gb = grad_output.sum_axis0().expect("seed linear gb");
-                    let mut gi = vec![0.0f32; batch * *in_features];
-                    sgemm(
-                        false,
-                        false,
-                        batch,
-                        *in_features,
-                        *out_features,
-                        1.0,
-                        grad_output.as_slice(),
-                        weight.as_slice(),
-                        0.0,
-                        &mut gi,
-                        par,
-                    );
-                    grad_weight
-                        .add_scaled_inplace(
-                            &Tensor::from_vec(gw, &[*out_features, *in_features]).unwrap(),
-                            1.0,
-                        )
-                        .expect("seed linear gw");
-                    grad_bias
-                        .add_scaled_inplace(&gb, 1.0)
-                        .expect("seed linear gb");
-                    Tensor::from_vec(gi, &[batch, *in_features]).expect("seed linear grad")
-                }
-            }
-        }
-
-        /// `(value, grad)` pairs for the optimizer, in parameter order.
-        fn params(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-            match self {
-                Op::Conv {
-                    weight,
-                    bias,
-                    grad_weight,
-                    grad_bias,
-                    ..
-                }
-                | Op::Linear {
-                    weight,
-                    bias,
-                    grad_weight,
-                    grad_bias,
-                    ..
-                } => vec![(weight, grad_weight), (bias, grad_bias)],
-                Op::Bn {
-                    gamma,
-                    beta,
-                    grad_gamma,
-                    grad_beta,
-                    ..
-                } => vec![(gamma, grad_gamma), (beta, grad_beta)],
-                _ => Vec::new(),
-            }
-        }
-    }
-
-    /// The seed's AdamW, reproduced verbatim: allocating
-    /// `scale`/`mul`/`zip` tensor updates per parameter per step.
-    pub(super) struct SeedAdamW {
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        epsilon: f32,
-        weight_decay: f32,
-        step_count: u64,
-        first_moment: Vec<Tensor>,
-        second_moment: Vec<Tensor>,
-    }
-
-    impl SeedAdamW {
-        pub(super) fn new(lr: f32) -> Self {
-            Self {
-                lr,
-                beta1: 0.9,
-                beta2: 0.999,
-                epsilon: 1e-8,
-                weight_decay: 0.01,
-                step_count: 0,
-                first_moment: Vec::new(),
-                second_moment: Vec::new(),
-            }
-        }
-
-        fn step(&mut self, params: &mut [(&mut Tensor, &mut Tensor)]) {
-            while self.first_moment.len() < params.len() {
-                let dims = params[self.first_moment.len()].0.dims().to_vec();
-                self.first_moment.push(Tensor::zeros(&dims));
-                self.second_moment.push(Tensor::zeros(&dims));
-            }
-            self.step_count += 1;
-            let t = self.step_count as f32;
-            let bias1 = 1.0 - self.beta1.powf(t);
-            let bias2 = 1.0 - self.beta2.powf(t);
-            for (idx, (value, grad)) in params.iter_mut().enumerate() {
-                let lr = self.lr;
-                let grad: &Tensor = grad;
-                let m = &mut self.first_moment[idx];
-                let v = &mut self.second_moment[idx];
-                let mut new_m = m.scale(self.beta1);
-                new_m.add_scaled_inplace(grad, 1.0 - self.beta1).unwrap();
-                let grad_sq = grad.mul(grad).unwrap();
-                let mut new_v = v.scale(self.beta2);
-                new_v
-                    .add_scaled_inplace(&grad_sq, 1.0 - self.beta2)
-                    .unwrap();
-                if self.weight_decay > 0.0 {
-                    let decay = value.scale(self.weight_decay * lr);
-                    value.add_scaled_inplace(&decay, -1.0).unwrap();
-                }
-                let eps = self.epsilon;
-                let update = new_m
-                    .zip(&new_v, move |m_i, v_i| {
-                        (m_i / bias1) / ((v_i / bias2).sqrt() + eps)
-                    })
-                    .unwrap();
-                value.add_scaled_inplace(&update, -lr).unwrap();
-                *m = new_m;
-                *v = new_v;
-            }
-        }
-    }
-
-    /// The seed model: backbone ops plus per-head op chains, with weights
-    /// copied from an identically-seeded in-tree model.
-    pub(super) struct SeedNet {
-        backbone: Vec<Op>,
-        heads: Vec<Vec<Op>>,
-        loss: CrossEntropyLoss,
-        opt: SeedAdamW,
-    }
-
-    impl SeedNet {
-        /// Builds the MobileStyle-at-`image`² architecture and copies the
-        /// parameter values (in stable order) out of `model`.
-        pub(super) fn from_model(model: &mut MtlSplitModel, image: usize, lr: f32) -> Self {
-            let values: Vec<Tensor> = model
-                .parameters_mut()
-                .iter()
-                .map(|p| p.value().clone())
-                .collect();
-            let mut cursor = 0usize;
-            let mut next = |expected_dims: &[usize]| -> Tensor {
-                let value = values[cursor].clone();
-                assert_eq!(value.dims(), expected_dims, "parameter order mismatch");
-                cursor += 1;
-                value
-            };
-            let conv = |spec: Conv2dSpec, next: &mut dyn FnMut(&[usize]) -> Tensor| -> Op {
-                let weight = next(&spec.weight_dims());
-                let bias = next(&[spec.out_channels]);
-                let (gw, gb) = (Tensor::zeros(weight.dims()), Tensor::zeros(bias.dims()));
-                Op::Conv {
-                    spec,
-                    weight,
-                    bias,
-                    grad_weight: gw,
-                    grad_bias: gb,
-                    cached: None,
-                }
-            };
-            let bn = |channels: usize, next: &mut dyn FnMut(&[usize]) -> Tensor| -> Op {
-                Op::Bn {
-                    gamma: next(&[channels]),
-                    beta: next(&[channels]),
-                    grad_gamma: Tensor::zeros(&[channels]),
-                    grad_beta: Tensor::zeros(&[channels]),
-                    running_mean: vec![0.0; channels],
-                    running_var: vec![1.0; channels],
-                    cache: None,
-                }
-            };
-            let linear = |inp: usize, out: usize, next: &mut dyn FnMut(&[usize]) -> Tensor| -> Op {
-                Op::Linear {
-                    in_features: inp,
-                    out_features: out,
-                    weight: next(&[out, inp]),
-                    bias: next(&[out]),
-                    grad_weight: Tensor::zeros(&[out, inp]),
-                    grad_bias: Tensor::zeros(&[out]),
-                    cached: None,
-                }
-            };
-            let _ = image;
-            let mut backbone = Vec::new();
-            backbone.push(conv(
-                Conv2dSpec::new(3, 8, 3).with_stride(2).with_padding(1),
-                &mut next,
-            ));
-            backbone.push(bn(8, &mut next));
-            backbone.push(Op::HardSwish { cached: None });
-            for (in_c, out_c, stride) in [(8usize, 16usize, 1usize), (16, 24, 2), (24, 32, 1)] {
-                backbone.push(conv(
-                    Conv2dSpec::new(in_c, in_c, 3)
-                        .with_stride(stride)
-                        .with_padding(1)
-                        .with_groups(in_c),
-                    &mut next,
-                ));
-                backbone.push(bn(in_c, &mut next));
-                backbone.push(Op::HardSwish { cached: None });
-                backbone.push(conv(Conv2dSpec::new(in_c, out_c, 1), &mut next));
-                backbone.push(bn(out_c, &mut next));
-                backbone.push(Op::HardSwish { cached: None });
-            }
-            backbone.push(Op::Gap { dims: None });
-            backbone.push(Op::Flatten { dims: None });
-            let mut heads = Vec::new();
-            for classes in [8usize, 4] {
-                heads.push(vec![
-                    linear(32, 32, &mut next),
-                    Op::Relu { cached: None },
-                    linear(32, classes, &mut next),
-                ]);
-            }
-            assert_eq!(cursor, values.len(), "parameter count mismatch");
-            Self {
-                backbone,
-                heads,
-                loss: CrossEntropyLoss::new(),
-                opt: SeedAdamW::new(lr),
-            }
-        }
-
-        fn forward_chain(ops: &mut [Op], input: &Tensor) -> Tensor {
-            let mut current = input.clone();
-            for op in ops.iter_mut() {
-                current = op.forward(&current);
-            }
-            current
-        }
-
-        fn backward_chain(ops: &mut [Op], grad: &Tensor) -> Tensor {
-            let mut current = grad.clone();
-            for op in ops.iter_mut().rev() {
-                current = op.backward(&current);
-            }
-            current
-        }
-
-        /// One seed training step, mirroring `train_batch`'s structure:
-        /// zero grads (fresh tensors), backbone + all-head forward, per-head
-        /// loss + backward summed into the shared-feature gradient, backbone
-        /// backward, allocating AdamW sweep.
-        pub(super) fn train_step(&mut self, images: &Tensor, labels: &[Vec<usize>]) -> Vec<f32> {
-            for op in self
-                .backbone
-                .iter_mut()
-                .chain(self.heads.iter_mut().flatten())
-            {
-                for (value, grad) in op.params() {
-                    *grad = Tensor::zeros(value.dims());
-                }
-            }
-            let features = Self::forward_chain(&mut self.backbone, images);
-            let logits: Vec<Tensor> = self
-                .heads
-                .iter_mut()
-                .map(|head| Self::forward_chain(head, &features))
-                .collect();
-            let mut losses = Vec::with_capacity(self.heads.len());
-            let mut grad_features = Tensor::zeros(features.dims());
-            for (head_idx, (head, logit)) in self.heads.iter_mut().zip(&logits).enumerate() {
-                let (value, grad_logits) = self
-                    .loss
-                    .forward_backward(logit, &labels[head_idx])
-                    .expect("seed loss");
-                losses.push(value);
-                let grad = Self::backward_chain(head, &grad_logits);
-                grad_features
-                    .add_scaled_inplace(&grad, 1.0)
-                    .expect("seed sum");
-            }
-            let _ = Self::backward_chain(&mut self.backbone, &grad_features);
-            let mut params: Vec<(&mut Tensor, &mut Tensor)> = Vec::new();
-            for op in self
-                .backbone
-                .iter_mut()
-                .chain(self.heads.iter_mut().flatten())
-            {
-                params.extend(op.params());
-            }
-            self.opt.step(&mut params);
-            losses
-        }
-
-        /// Every parameter value, in the same stable order as
-        /// `MtlSplitModel::parameters_mut`.
-        pub(super) fn param_values(&mut self) -> Vec<Tensor> {
-            let mut out = Vec::new();
-            for op in self
-                .backbone
-                .iter_mut()
-                .chain(self.heads.iter_mut().flatten())
-            {
-                for (value, _) in op.params() {
-                    out.push(value.clone());
-                }
-            }
-            out
-        }
-    }
-}
-
 struct StepStats {
     allocs_per_step: f64,
     step_ms: f64,
@@ -906,9 +127,8 @@ struct StepStats {
 struct TrainingMeasurement {
     steps: usize,
     planned: StepStats,
-    allocating: StepStats,
     seed: StepStats,
-    /// Steps until the three paths were compared parameter-for-parameter.
+    /// Steps until the two paths were compared parameter-for-parameter.
     identity_steps: usize,
 }
 
@@ -916,53 +136,42 @@ fn measure_training(reps: usize, steps: usize, identity_steps: usize) -> Trainin
     let (images, labels) = batch(&mut StdRng::seed_from(3));
 
     // Bit-identity gate: identically-seeded models, one stepped through the
-    // vendored seed path, one through the in-tree allocating path, one
-    // through the plan; every parameter must stay `==` across all three.
+    // vendored seed path, one through the plan; losses and every parameter
+    // must stay `==`.
     {
-        let mut reference = build_model(1);
         let mut planned = build_model(1);
         let mut seed_net = seed::SeedNet::from_model(&mut build_model(1), IMAGE, 1e-3);
-        let mut opt_ref = AdamW::new(1e-3).expect("optimizer");
         let mut opt_planned = AdamW::new(1e-3).expect("optimizer");
         let mut plan = TrainPlan::new();
         let mut losses = Vec::new();
         for step in 0..identity_steps {
-            let loss_ref = reference
-                .train_batch(&images, &labels, &mut opt_ref)
-                .expect("allocating step");
             planned
                 .train_batch_with(&images, &labels, &mut opt_planned, &mut plan, &mut losses)
                 .expect("planned step");
-            assert_eq!(losses, loss_ref, "step {step}: planned losses diverged");
             let seed_losses = seed_net.train_step(&images, &labels);
-            assert_eq!(seed_losses, loss_ref, "step {step}: seed losses diverged");
+            assert_eq!(
+                losses, seed_losses,
+                "step {step}: planned/seed losses diverged"
+            );
         }
         let seed_values = seed_net.param_values();
-        for (index, ((a, b), s)) in planned
+        for (index, (a, s)) in planned
             .parameters_mut()
             .iter()
-            .zip(reference.parameters_mut())
             .zip(&seed_values)
             .enumerate()
         {
             assert_eq!(
                 a.value(),
-                b.value(),
-                "parameter {index} diverged (planned vs allocating) after {identity_steps} steps"
-            );
-            assert_eq!(
-                b.value(),
                 s,
-                "parameter {index} diverged (allocating vs seed baseline) after \
+                "parameter {index} diverged (planned vs seed baseline) after \
                  {identity_steps} steps"
             );
         }
     }
 
-    // The timed/counted models (fresh, so both paths start from the same
-    // warm-up state).
-    let mut allocating_model = build_model(2);
-    let mut allocating_opt = AdamW::new(1e-3).expect("optimizer");
+    // The timed/counted model (fresh, so it starts from the same state the
+    // seed baseline below starts from).
     let mut planned_model = build_model(2);
     let mut planned_opt = AdamW::new(1e-3).expect("optimizer");
     let mut plan = TrainPlan::new();
@@ -973,9 +182,6 @@ fn measure_training(reps: usize, steps: usize, identity_steps: usize) -> Trainin
     for _ in 0..2 {
         planned_model
             .train_batch_with(&images, &labels, &mut planned_opt, &mut plan, &mut losses)
-            .expect("warm-up step");
-        allocating_model
-            .train_batch(&images, &labels, &mut allocating_opt)
             .expect("warm-up step");
     }
 
@@ -1015,14 +221,6 @@ fn measure_training(reps: usize, steps: usize, identity_steps: usize) -> Trainin
          (saw {traced_allocs} over {steps} steps)"
     );
 
-    let before = allocations();
-    for _ in 0..steps {
-        allocating_model
-            .train_batch(&images, &labels, &mut allocating_opt)
-            .expect("allocating step");
-    }
-    let allocating_allocs = (allocations() - before) as f64 / steps as f64;
-
     // The seed baseline: fresh net (same ctor seed), warmed up, counted and
     // timed on the same protocol.
     let mut seed_net = seed::SeedNet::from_model(&mut build_model(2), IMAGE, 1e-3);
@@ -1042,13 +240,6 @@ fn measure_training(reps: usize, steps: usize, identity_steps: usize) -> Trainin
                 .expect("planned step");
         }
     }) / steps as f64;
-    let allocating_ms = best_ms(reps, || {
-        for _ in 0..steps {
-            allocating_model
-                .train_batch(&images, &labels, &mut allocating_opt)
-                .expect("allocating step");
-        }
-    }) / steps as f64;
     let seed_ms = best_ms(reps, || {
         for _ in 0..steps {
             seed_net.train_step(&images, &labels);
@@ -1060,10 +251,6 @@ fn measure_training(reps: usize, steps: usize, identity_steps: usize) -> Trainin
         planned: StepStats {
             allocs_per_step: 0.0,
             step_ms: planned_ms,
-        },
-        allocating: StepStats {
-            allocs_per_step: allocating_allocs,
-            step_ms: allocating_ms,
         },
         seed: StepStats {
             allocs_per_step: seed_allocs,
@@ -1170,8 +357,6 @@ fn dump_json(training: &TrainingMeasurement, mtl_ms: f64, stl_ms: f64, quick: bo
          \"quick\": {quick},\n  \"workload\": \"mobile_{IMAGE}x{IMAGE}_batch{BATCH}_2heads_adamw\",\n  \
          \"steps\": {steps},\n  \"bit_identical_steps\": {identity},\n  \
          \"planned\": {{\"allocs_per_step\": {pa:.1}, \"step_ms\": {pm:.4}}},\n  \
-         \"allocating\": {{\"allocs_per_step\": {aa:.1}, \"step_ms\": {am:.4}, \
-         \"speedup_planned\": {sp:.2}}},\n  \
          \"seed_baseline\": {{\"allocs_per_step\": {sa:.1}, \"step_ms\": {sm:.4}, \
          \"speedup_planned\": {ss:.2}}},\n  \
          \"mtl_vs_stl\": {{\"mtl_joint_step_ms\": {mtl:.4}, \"stl_per_task_step_ms\": {stl:.4}, \
@@ -1180,9 +365,6 @@ fn dump_json(training: &TrainingMeasurement, mtl_ms: f64, stl_ms: f64, quick: bo
         identity = training.identity_steps,
         pa = training.planned.allocs_per_step,
         pm = training.planned.step_ms,
-        aa = training.allocating.allocs_per_step,
-        am = training.allocating.step_ms,
-        sp = training.allocating.step_ms / training.planned.step_ms,
         sa = training.seed.allocs_per_step,
         sm = training.seed.step_ms,
         ss = training.seed.step_ms / training.planned.step_ms,
@@ -1209,12 +391,9 @@ fn bench_training(_c: &mut Criterion) {
 
     let training = measure_training(reps, steps, identity_steps);
     println!(
-        "planned training step: 0 allocs, {:.3} ms | allocating: {:.1} allocs, {:.3} ms ({:.2}x) \
-         | seed baseline: {:.1} allocs, {:.3} ms ({:.2}x)",
+        "planned training step: 0 allocs, {:.3} ms | seed baseline: {:.1} allocs, {:.3} ms \
+         ({:.2}x)",
         training.planned.step_ms,
-        training.allocating.allocs_per_step,
-        training.allocating.step_ms,
-        training.allocating.step_ms / training.planned.step_ms,
         training.seed.allocs_per_step,
         training.seed.step_ms,
         training.seed.step_ms / training.planned.step_ms,

@@ -10,6 +10,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod reference;
+
 use mtlsplit_core::experiment::{ParadigmRow, Preset};
 use mtlsplit_core::ComparisonRow;
 use mtlsplit_models::analysis::ModelReport;

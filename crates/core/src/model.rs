@@ -197,79 +197,14 @@ impl MtlSplitModel {
         }
     }
 
-    /// Runs the full model in training mode ([`RunMode::Train`], drawing
-    /// from the model's own training RNG), returning the shared
-    /// representation and one logits tensor per task with every layer cache
-    /// primed for a backward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is incompatible with the backbone.
-    pub fn train_forward(&mut self, images: &Tensor) -> Result<(Tensor, Vec<Tensor>)> {
-        let features = self.backbone.forward(
-            images,
-            RunMode::Train {
-                rng: &mut self.train_rng,
-            },
-        )?;
-        let mut outputs = Vec::with_capacity(self.heads.len());
-        for head in &mut self.heads {
-            outputs.push(head.forward(
-                &features,
-                RunMode::Train {
-                    rng: &mut self.train_rng,
-                },
-            )?);
-        }
-        Ok((features, outputs))
-    }
-
-    /// [`MtlSplitModel::train_forward`] on a caller-owned [`TrainPlan`]: the
-    /// shared representation, every head's logits, and every layer's
-    /// backward cache come from the plan's reusable arena, so steady-state
-    /// training steps perform no heap allocations inside the forward pass.
-    ///
-    /// The returned tensors are arena-backed: recycle them via
-    /// [`TrainPlan::recycle`] once consumed. Outputs, caches, and RNG draw
-    /// order are bit-identical to [`MtlSplitModel::train_forward`] for
-    /// every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is incompatible with the backbone.
-    pub fn train_forward_with(
-        &mut self,
-        images: &Tensor,
-        plan: &mut TrainPlan,
-    ) -> Result<(Tensor, Vec<Tensor>)> {
-        let features = self.backbone.forward_into(
-            images,
-            RunMode::Train {
-                rng: &mut self.train_rng,
-            },
-            plan.arena(),
-        )?;
-        let mut outputs = Vec::with_capacity(self.heads.len());
-        for head in &mut self.heads {
-            outputs.push(head.forward_into(
-                &features,
-                RunMode::Train {
-                    rng: &mut self.train_rng,
-                },
-                plan.arena(),
-            )?);
-        }
-        Ok((features, outputs))
-    }
-
     /// Runs the full model in inference mode through `&self`, returning the
     /// shared representation and one logits tensor per task.
     ///
     /// Nothing is mutated — no caches, no batch statistics — so a frozen
     /// model can serve concurrent callers from shared state. Internally this
-    /// runs on the planned inference runtime with a transient per-call
-    /// [`InferPlan`] (fused GEMM epilogues; bit-identical to the layer-wise
-    /// [`Layer::infer`] chain); callers that serve many requests should hold
+    /// runs on a transient per-call [`InferPlan`] (fused GEMM epilogues;
+    /// bit-identical to running the layers one at a time); callers that
+    /// serve many requests should hold
     /// their own plan and use [`MtlSplitModel::infer_forward_with`] so the
     /// arena is reused across requests and the steady state allocates
     /// nothing.
@@ -288,8 +223,8 @@ impl MtlSplitModel {
     ///
     /// The returned tensors are arena-backed: recycle them via
     /// [`InferPlan::recycle`] once consumed to keep later requests
-    /// allocation-free. Outputs are bit-identical to the allocating path for
-    /// every thread count.
+    /// allocation-free. Outputs are bit-identical to a fresh per-call plan
+    /// for every thread count.
     ///
     /// # Errors
     ///
@@ -308,49 +243,8 @@ impl MtlSplitModel {
     }
 
     /// One joint training step on a batch: forward, `L_total = sum_j L_j`,
-    /// backward through every head into the shared backbone, optimizer step.
-    ///
-    /// Returns the per-task loss values.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the label vectors do not match the model's tasks
-    /// or the batch size.
-    pub fn train_batch(
-        &mut self,
-        images: &Tensor,
-        labels: &[Vec<usize>],
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<Vec<f32>> {
-        if labels.len() != self.heads.len() {
-            return Err(CoreError::Incompatible {
-                reason: format!(
-                    "model has {} heads but {} label vectors were provided",
-                    self.heads.len(),
-                    labels.len()
-                ),
-            });
-        }
-        self.zero_grad();
-        let (features, outputs) = self.train_forward(images)?;
-        let mut losses = Vec::with_capacity(self.heads.len());
-        // Gradient of L_total with respect to the shared representation Z_b is
-        // the sum of each task's contribution.
-        let mut grad_features = Tensor::zeros(features.dims());
-        for (head_idx, (head, logits)) in self.heads.iter_mut().zip(&outputs).enumerate() {
-            let (loss_value, grad_logits) =
-                self.loss.forward_backward(logits, &labels[head_idx])?;
-            losses.push(loss_value);
-            let grad = head.backward(&grad_logits)?;
-            grad_features.add_scaled_inplace(&grad, 1.0)?;
-        }
-        self.backbone.backward(&grad_features)?;
-        optimizer.step(&mut self.parameters_mut())?;
-        Ok(losses)
-    }
-
-    /// [`MtlSplitModel::train_batch`] on a caller-owned [`TrainPlan`]: the
-    /// planned, zero-allocation training step.
+    /// backward through every head into the shared backbone, optimizer
+    /// step — all on a caller-owned [`TrainPlan`].
     ///
     /// Every activation, layer cache, gradient and optimizer update runs on
     /// recycled arena buffers and in-place sweeps; after the first (warm-up)
@@ -361,11 +255,10 @@ impl MtlSplitModel {
     /// head order) so the hot loop does not return a fresh `Vec` per step.
     ///
     /// Head forwards and backwards are interleaved (forward → loss →
-    /// backward per head, in head order) instead of two sweeps; no RNG
-    /// draw, running-statistic update, or gradient-accumulation order
-    /// changes, so the resulting parameters are bit-identical to
-    /// [`MtlSplitModel::train_batch`] — parameter-for-parameter across a
-    /// whole training run, for every thread count.
+    /// backward per head, in head order); the per-task gradients reaching
+    /// `Z_b` are summed in ascending head order. The resulting parameters
+    /// are bit-identical for every thread count, and to the naive reference
+    /// training step the workspace tests compare against.
     ///
     /// # Errors
     ///
@@ -399,7 +292,7 @@ impl MtlSplitModel {
         )?;
         // Gradient of L_total with respect to the shared representation Z_b
         // is the sum of each task's contribution — accumulated into a
-        // zero-filled arena buffer, ascending head order as in `train_batch`.
+        // zero-filled arena buffer, in ascending head order.
         let mut grad_features = {
             let mut buffer = plan.arena().take(features.len());
             buffer.fill(0.0);
@@ -493,7 +386,7 @@ impl MtlSplitModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtlsplit_nn::Sgd;
+    use mtlsplit_nn::{Sgd, TensorArena};
 
     fn tasks() -> Vec<TaskSpec> {
         vec![TaskSpec::new("size", 4), TaskSpec::new("kind", 3)]
@@ -527,7 +420,10 @@ mod tests {
         assert_eq!(first, second);
         // A training pass does mutate state (batch-norm running statistics),
         // so inference afterwards legitimately differs.
-        model.train_forward(&x).unwrap();
+        model
+            .backbone_mut()
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         let (_, third) = model.infer_forward(&x).unwrap();
         assert_ne!(first, third);
     }
@@ -544,7 +440,11 @@ mod tests {
             .map(|p| p.value().squared_norm())
             .sum();
         let mut opt = Sgd::new(0.05);
-        let losses = model.train_batch(&x, &labels, &mut opt).unwrap();
+        let mut plan = TrainPlan::new();
+        let mut losses = Vec::new();
+        model
+            .train_batch_with(&x, &labels, &mut opt, &mut plan, &mut losses)
+            .unwrap();
         assert_eq!(losses.len(), 2);
         assert!(losses.iter().all(|l| l.is_finite() && *l > 0.0));
         let after: f32 = model
@@ -562,18 +462,18 @@ mod tests {
         let x = Tensor::randn(&[8, 3, 16, 16], 0.5, 0.2, &mut rng);
         let labels = vec![vec![0, 1, 2, 3, 0, 1, 2, 3], vec![0, 1, 2, 0, 1, 2, 0, 1]];
         let mut opt = Sgd::new(0.1);
-        let first: f32 = model
-            .train_batch(&x, &labels, &mut opt)
-            .unwrap()
-            .iter()
-            .sum();
+        let mut plan = TrainPlan::new();
+        let mut losses = Vec::new();
+        let mut step = |model: &mut MtlSplitModel| -> f32 {
+            model
+                .train_batch_with(&x, &labels, &mut opt, &mut plan, &mut losses)
+                .unwrap();
+            losses.iter().sum()
+        };
+        let first = step(&mut model);
         let mut last = first;
         for _ in 0..15 {
-            last = model
-                .train_batch(&x, &labels, &mut opt)
-                .unwrap()
-                .iter()
-                .sum();
+            last = step(&mut model);
         }
         assert!(
             last < first,
@@ -581,13 +481,63 @@ mod tests {
         );
     }
 
+    /// The allocating training step, written out layer-wise: every pass on
+    /// a fresh arena, all head forwards before any backward, the allocating
+    /// loss, a full backbone backward (input gradient included) and the
+    /// `Vec`-based `Optimizer::step` sweep.
+    fn allocating_step(
+        model: &mut MtlSplitModel,
+        images: &Tensor,
+        labels: &[Vec<usize>],
+        optimizer: &mut dyn Optimizer,
+    ) -> Vec<f32> {
+        model.zero_grad();
+        let features = model
+            .backbone
+            .forward_into(
+                images,
+                RunMode::train(&mut model.train_rng),
+                &mut TensorArena::new(),
+            )
+            .unwrap();
+        let mut outputs = Vec::new();
+        for head in &mut model.heads {
+            outputs.push(
+                head.forward_into(
+                    &features,
+                    RunMode::train(&mut model.train_rng),
+                    &mut TensorArena::new(),
+                )
+                .unwrap(),
+            );
+        }
+        let mut losses = Vec::new();
+        let mut grad_features = Tensor::zeros(features.dims());
+        for ((head, logits), labels) in model.heads.iter_mut().zip(&outputs).zip(labels) {
+            let (loss_value, grad_logits) = model.loss.forward_backward(logits, labels).unwrap();
+            losses.push(loss_value);
+            let grad = head
+                .backward_into(&grad_logits, &mut TensorArena::new())
+                .unwrap();
+            grad_features.add_scaled_inplace(&grad, 1.0).unwrap();
+        }
+        model
+            .backbone
+            .backward_into(&grad_features, &mut TensorArena::new())
+            .unwrap();
+        optimizer.step(&mut model.parameters_mut()).unwrap();
+        losses
+    }
+
     #[test]
     fn planned_train_batch_matches_allocating_train_batch_bitwise() {
         // Two identical models stepped on the same batches, one through the
-        // allocating `train_batch`, one through the planned
-        // `train_batch_with`: losses and every parameter must stay `==`
-        // step after step, and the plan must stop taking fresh memory after
-        // the warm-up step.
+        // allocating step written out above, one through the planned
+        // `train_batch_with` (one reused arena, interleaved heads, fused
+        // gradient masks, a params-only first layer, the in-place optimizer
+        // sweep): losses and every parameter must stay `==` step after
+        // step, and the plan must stop taking fresh memory after the
+        // warm-up step.
         let mut reference = tiny_model();
         let mut planned = tiny_model();
         let mut opt_ref = Sgd::new(0.05);
@@ -599,7 +549,7 @@ mod tests {
         let mut warmed = None;
         for step in 0..4 {
             let x = Tensor::randn(&[8, 3, 16, 16], 0.5, 0.2, &mut rng);
-            let loss_ref = reference.train_batch(&x, &labels, &mut opt_ref).unwrap();
+            let loss_ref = allocating_step(&mut reference, &x, &labels, &mut opt_ref);
             planned
                 .train_batch_with(&x, &labels, &mut opt_planned, &mut plan, &mut losses)
                 .unwrap();
@@ -627,7 +577,15 @@ mod tests {
         let mut model = tiny_model();
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let mut opt = Sgd::new(0.1);
-        assert!(model.train_batch(&x, &[vec![0, 1]], &mut opt).is_err());
+        assert!(model
+            .train_batch_with(
+                &x,
+                &[vec![0, 1]],
+                &mut opt,
+                &mut TrainPlan::new(),
+                &mut Vec::new()
+            )
+            .is_err());
     }
 
     #[test]
@@ -660,7 +618,15 @@ mod tests {
             .map(|p| p.value().squared_norm())
             .sum();
         let mut opt = Sgd::new(0.1);
-        model.train_batch(&x, &labels, &mut opt).unwrap();
+        model
+            .train_batch_with(
+                &x,
+                &labels,
+                &mut opt,
+                &mut TrainPlan::new(),
+                &mut Vec::new(),
+            )
+            .unwrap();
         let backbone_after: f32 = model
             .backbone()
             .parameters()

@@ -34,11 +34,6 @@ pub struct TrainConfig {
     /// the training thread's ambient [`Parallelism`]). Results are
     /// bit-identical whatever the value; it only changes wall-clock time.
     pub parallelism: Parallelism,
-    /// Whether to run training steps on the planned, zero-allocation
-    /// [`TrainPlan`] runtime (the default) or the allocating layer-wise
-    /// path. Results are bit-identical either way — the flag exists for
-    /// benchmarks and the equivalence tests that prove it.
-    pub use_train_plan: bool,
 }
 
 impl Default for TrainConfig {
@@ -51,7 +46,6 @@ impl Default for TrainConfig {
             seed: 7,
             backbone_lr_scale: 1.0,
             parallelism: Parallelism::auto(),
-            use_train_plan: true,
         }
     }
 }
@@ -111,8 +105,7 @@ pub struct EpochStats {
     pub mean_step_seconds: f64,
     /// 95th-percentile single-step time in seconds.
     pub p95_step_seconds: f64,
-    /// Fresh arena allocations the planned runtime took during this epoch
-    /// (always 0 on the allocating path, which does not count).
+    /// Fresh arena allocations the planned runtime took during this epoch.
     pub fresh_allocations: usize,
 }
 
@@ -189,19 +182,14 @@ pub fn train_model(
         let mut batches = 0usize;
         while let Some(batch) = loader.next_batch()? {
             let step_start_ns = obs::now_ns();
-            if config.use_train_plan {
-                model.train_batch_with(
-                    &batch.images,
-                    &batch.labels,
-                    &mut optimizer,
-                    &mut plan,
-                    &mut batch_losses,
-                )?;
-                epoch_loss += batch_losses.iter().sum::<f32>();
-            } else {
-                let losses = model.train_batch(&batch.images, &batch.labels, &mut optimizer)?;
-                epoch_loss += losses.iter().sum::<f32>();
-            }
+            model.train_batch_with(
+                &batch.images,
+                &batch.labels,
+                &mut optimizer,
+                &mut plan,
+                &mut batch_losses,
+            )?;
+            epoch_loss += batch_losses.iter().sum::<f32>();
             step_times.record(obs::now_ns() - step_start_ns);
             obs::metrics::TRAIN_STEPS.add(1);
             batches += 1;

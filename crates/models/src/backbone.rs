@@ -337,9 +337,9 @@ impl Backbone {
     ///
     /// Returns `(edge, tail)`: `edge` holds layers `[0, layer_end)` of the
     /// stage and `tail` the remainder (empty at the default split). Running
-    /// `edge` then `tail` is bit-identical to the monolithic backbone — the
-    /// planned runtime's fused epilogues are 0-ULP equal to their unfused
-    /// chains, so no cut point changes any output bit.
+    /// `edge` then `tail` is bit-identical to the monolithic backbone —
+    /// fused epilogues are 0-ULP equal to their unfused chains, so no cut
+    /// point changes any output bit.
     ///
     /// # Errors
     ///
@@ -359,7 +359,7 @@ impl Backbone {
         Ok((edge, tail))
     }
 
-    /// The planned backward pass with the image gradient discarded: raw
+    /// The backward pass with the image gradient discarded: raw
     /// pixels need no gradient, so the first stage skips its input-gradient
     /// kernels entirely. Parameter gradients are bit-identical to
     /// [`Layer::backward_into`] followed by discarding its result.
@@ -383,14 +383,6 @@ impl Backbone {
 }
 
 impl Layer for Backbone {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        self.net.forward(input, mode)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.net.infer(input)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -402,10 +394,6 @@ impl Layer for Backbone {
 
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         self.net.infer_into(input, ctx)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.net.backward(grad_output)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -574,7 +562,9 @@ mod tests {
             let mut backbone = build(kind, 24);
             let mut rng = StdRng::seed_from(9);
             let x = Tensor::zeros(&[2, 3, 24, 24]);
-            let z = backbone.forward(&x, RunMode::train(&mut rng)).unwrap();
+            let z = backbone
+                .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+                .unwrap();
             assert_eq!(z.dims(), &[2, backbone.feature_dim()], "{kind}");
             // The &self inference path produces the same shape.
             assert_eq!(backbone.infer(&x).unwrap().dims(), z.dims(), "{kind}");
@@ -600,8 +590,12 @@ mod tests {
             let mut backbone = build(kind, 20);
             let mut rng = StdRng::seed_from(2);
             let x = Tensor::randn(&[2, 3, 20, 20], 0.0, 1.0, &mut rng);
-            let z = backbone.forward(&x, RunMode::train(&mut rng)).unwrap();
-            let grad = backbone.backward(&Tensor::ones(z.dims())).unwrap();
+            let z = backbone
+                .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+                .unwrap();
+            let grad = backbone
+                .backward_into(&Tensor::ones(z.dims()), &mut TensorArena::new())
+                .unwrap();
             assert_eq!(grad.dims(), x.dims());
             let nonzero = backbone
                 .parameters()

@@ -5,7 +5,7 @@ use mtlsplit_nn::{
     BatchNorm2d, DepthwiseConv2d, HardSigmoid, HardSwish, Layer, Linear, NnError, Parameter,
     PointwiseConv2d, Relu, Result, RunMode, Sequential,
 };
-use mtlsplit_tensor::{global_avg_pool2d, global_avg_pool2d_into, StdRng, Tensor, TensorArena};
+use mtlsplit_tensor::{global_avg_pool2d_into, StdRng, Tensor, TensorArena};
 
 /// Squeeze-and-excitation: re-weights each channel by a learned gate computed
 /// from the globally pooled feature map.
@@ -63,21 +63,6 @@ impl std::fmt::Debug for SqueezeExcite {
 }
 
 impl Layer for SqueezeExcite {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if !mode.is_train() {
-            return self.infer(input);
-        }
-        self.check_input(input)?;
-        let pooled = global_avg_pool2d(input)?; // [batch, channels]
-        let scale = self.gate.forward(&pooled, mode)?; // [batch, channels]
-        let output = scale_channels(input, &scale);
-        self.cache = Some(SeCache {
-            input: input.clone(),
-            scale,
-        });
-        Ok(output)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -111,13 +96,6 @@ impl Layer for SqueezeExcite {
             scale,
         });
         Ok(output)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input)?;
-        let pooled = global_avg_pool2d(input)?;
-        let scale = self.gate.infer(&pooled)?;
-        Ok(scale_channels(input, &scale))
     }
 
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -181,46 +159,6 @@ impl Layer for SqueezeExcite {
         Ok(Tensor::from_vec(grad_input, dims)?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self.cache.as_ref().ok_or(NnError::MissingForwardCache {
-            layer: "SqueezeExcite",
-        })?;
-        let dims = cache.input.dims();
-        let (batch, channels, height, width) = (dims[0], dims[1], dims[2], dims[3]);
-        let plane = height * width;
-        // Direct path: dL/dx += dL/dy * scale (broadcast over space).
-        let mut grad_input = scale_channels(grad_output, &cache.scale);
-        // Gate path: dL/dscale[b, c] = sum_{h,w} dL/dy * x.
-        let mut grad_scale = vec![0.0f32; batch * channels];
-        let go = grad_output.as_slice();
-        let x = cache.input.as_slice();
-        for b in 0..batch {
-            for c in 0..channels {
-                let base = (b * channels + c) * plane;
-                grad_scale[b * channels + c] =
-                    (0..plane).map(|i| go[base + i] * x[base + i]).sum::<f32>();
-            }
-        }
-        let grad_pooled = self
-            .gate
-            .backward(&Tensor::from_vec(grad_scale, &[batch, channels])?)?;
-        // The pooled value is the spatial mean, so its gradient spreads
-        // uniformly over the plane.
-        let gp = grad_pooled.as_slice();
-        let gi = grad_input.as_mut_slice();
-        let norm = 1.0 / plane.max(1) as f32;
-        for b in 0..batch {
-            for c in 0..channels {
-                let g = gp[b * channels + c] * norm;
-                let base = (b * channels + c) * plane;
-                for v in &mut gi[base..base + plane] {
-                    *v += g;
-                }
-            }
-        }
-        Ok(grad_input)
-    }
-
     fn for_each_parameter(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         self.gate.for_each_parameter(f);
     }
@@ -236,14 +174,6 @@ impl Layer for SqueezeExcite {
     fn name(&self) -> &'static str {
         "SqueezeExcite"
     }
-}
-
-/// Multiplies every spatial position of channel `c` in batch item `b` by
-/// `scale[b, c]`, allocating the output.
-fn scale_channels(input: &Tensor, scale: &Tensor) -> Tensor {
-    let mut out = input.clone();
-    write_scaled_channels(input, scale, out.as_mut_slice());
-    out
 }
 
 /// Writes `input * scale[b, c]` (broadcast over space) into `out` in one
@@ -327,19 +257,6 @@ impl std::fmt::Debug for MbConvBlock {
 }
 
 impl Layer for MbConvBlock {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if !mode.is_train() {
-            return self.infer(input);
-        }
-        self.cached_input_dims = Some(input.shape().clone());
-        let out = self.body.forward(input, mode)?;
-        if self.use_skip {
-            Ok(out.add(input)?)
-        } else {
-            Ok(out)
-        }
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -363,15 +280,6 @@ impl Layer for MbConvBlock {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let out = self.body.infer(input)?;
-        if self.use_skip {
-            Ok(out.add(input)?)
-        } else {
-            Ok(out)
-        }
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         let mut out = self.body.infer_into(input, ctx)?;
         if self.use_skip {
@@ -385,22 +293,6 @@ impl Layer for MbConvBlock {
             }
         }
         Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.cached_input_dims.is_none() {
-            return Err(NnError::MissingForwardCache {
-                layer: "MbConvBlock",
-            });
-        }
-        let grad_body = self.body.backward(grad_output)?;
-        if self.use_skip {
-            // The skip connection adds the output gradient directly to the
-            // input gradient.
-            Ok(grad_body.add(grad_output)?)
-        } else {
-            Ok(grad_body)
-        }
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -452,7 +344,9 @@ mod tests {
         let mut rng = StdRng::seed_from(1);
         let mut se = SqueezeExcite::new(8, 4, &mut rng);
         let x = Tensor::randn(&[2, 8, 5, 5], 0.0, 1.0, &mut rng);
-        let y = se.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let y = se
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         // The pure inference path computes the same re-weighting.
         assert_eq!(se.infer(&x).unwrap(), y);
         assert_eq!(y.dims(), x.dims());
@@ -468,8 +362,9 @@ mod tests {
         let mut se = SqueezeExcite::new(4, 2, &mut rng);
         let x = Tensor::randn(&[1, 4, 4, 4], 0.0, 1.0, &mut rng);
         let probe = Tensor::randn(x.dims(), 0.0, 1.0, &mut rng);
-        se.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = se.backward(&probe).unwrap();
+        se.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        let grad = se.backward_into(&probe, &mut TensorArena::new()).unwrap();
         let eps = 1e-2;
         for idx in [0usize, 21, 63] {
             let mut plus = x.clone();
@@ -508,7 +403,11 @@ mod tests {
         let mut rng = StdRng::seed_from(5);
         let mut same = MbConvBlock::new(8, 8, 2, 1, &mut rng);
         let y = same
-            .forward(&Tensor::zeros(&[2, 8, 8, 8]), RunMode::train(&mut rng))
+            .forward_into(
+                &Tensor::zeros(&[2, 8, 8, 8]),
+                RunMode::train(&mut rng),
+                &mut TensorArena::new(),
+            )
             .unwrap();
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
         let down = MbConvBlock::new(8, 16, 2, 2, &mut rng);
@@ -521,8 +420,12 @@ mod tests {
         let mut rng = StdRng::seed_from(6);
         let mut block = MbConvBlock::new(4, 4, 2, 1, &mut rng);
         let x = Tensor::randn(&[1, 4, 6, 6], 0.0, 1.0, &mut rng);
-        let y = block.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = block.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = block
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        let grad = block
+            .backward_into(&Tensor::ones(y.dims()), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(grad.dims(), x.dims());
         assert!(block
             .parameters()
@@ -534,6 +437,8 @@ mod tests {
     fn mbconv_backward_requires_forward() {
         let mut rng = StdRng::seed_from(7);
         let mut block = MbConvBlock::new(4, 4, 2, 1, &mut rng);
-        assert!(block.backward(&Tensor::zeros(&[1, 4, 6, 6])).is_err());
+        assert!(block
+            .backward_into(&Tensor::zeros(&[1, 4, 6, 6]), &mut TensorArena::new())
+            .is_err());
     }
 }

@@ -94,14 +94,6 @@ impl TaskHead {
 }
 
 impl Layer for TaskHead {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        self.net.forward(input, mode)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.net.infer(input)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -112,17 +104,13 @@ impl Layer for TaskHead {
     }
 
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
-        // The Linear→ReLU pair inside fuses into one GEMM on this path.
+        // The Linear→ReLU pair inside fuses into one GEMM.
         self.net.infer_into(input, ctx)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.net.backward(grad_output)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         // The ReLU's gradient mask fuses into the second Linear's backward
-        // GEMM on this path.
+        // GEMM.
         self.net.backward_into(grad_output, ctx)
     }
 
@@ -193,8 +181,12 @@ mod tests {
         let mut rng = StdRng::seed_from(5);
         let mut head = TaskHead::new("t", 8, 4, 2, &mut rng).unwrap();
         let z = Tensor::randn(&[3, 8], 0.0, 1.0, &mut rng);
-        let logits = head.forward(&z, RunMode::train(&mut rng)).unwrap();
-        let grad = head.backward(&Tensor::ones(logits.dims())).unwrap();
+        let logits = head
+            .forward_into(&z, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        let grad = head
+            .backward_into(&Tensor::ones(logits.dims()), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(grad.dims(), z.dims());
     }
 }

@@ -1,7 +1,9 @@
 //! Point-wise activation layers: ReLU, sigmoid, and the hard variants used by
 //! MobileNetV3-style networks.
 
-use mtlsplit_tensor::{ActivationGrad, EpilogueActivation, GradMask, Tensor, TensorArena};
+use mtlsplit_tensor::{
+    ActivationGrad, EpilogueActivation, GradMask, Tensor, TensorArena, TensorError,
+};
 
 use crate::error::{NnError, Result};
 use crate::param::Parameter;
@@ -26,13 +28,6 @@ macro_rules! pointwise_activation {
         }
 
         impl Layer for $name {
-            fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-                if mode.is_train() {
-                    self.cached_input = Some(input.clone());
-                }
-                self.infer(input)
-            }
-
             fn forward_into(
                 &mut self,
                 input: &Tensor,
@@ -43,11 +38,6 @@ macro_rules! pointwise_activation {
                     crate::cache_from_arena(&mut self.cached_input, input, ctx)?;
                 }
                 self.infer_into(input, ctx)
-            }
-
-            fn infer(&self, input: &Tensor) -> Result<Tensor> {
-                let f: fn(f32) -> f32 = $forward;
-                Ok(input.map(f))
             }
 
             fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -74,38 +64,26 @@ macro_rules! pointwise_activation {
                 }
             }
 
-            fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-                let input = self
-                    .cached_input
-                    .as_ref()
-                    .ok_or(NnError::MissingForwardCache { layer: $label })?;
-                let d: fn(f32) -> f32 = $derivative;
-                let local = input.map(d);
-                Ok(grad_output.mul(&local)?)
-            }
-
             fn backward_into(
                 &mut self,
                 grad_output: &Tensor,
                 ctx: &mut TensorArena,
             ) -> Result<Tensor> {
-                let aligned = self
-                    .cached_input
-                    .as_ref()
-                    .ok_or(NnError::MissingForwardCache { layer: $label })?
-                    .dims()
-                    == grad_output.dims();
-                if !aligned {
-                    // Canonical shape error from the allocating path.
-                    return self.backward(grad_output);
-                }
                 let input = self
                     .cached_input
                     .as_ref()
                     .ok_or(NnError::MissingForwardCache { layer: $label })?;
+                if input.dims() != grad_output.dims() {
+                    // The element-wise product's canonical shape error.
+                    return Err(TensorError::ShapeMismatch {
+                        op: "zip",
+                        lhs: grad_output.dims().to_vec(),
+                        rhs: input.dims().to_vec(),
+                    }
+                    .into());
+                }
                 let d: fn(f32) -> f32 = $derivative;
-                // One fused sweep: `g * d(x)` per element, the same product
-                // the derivative-tensor-then-multiply path evaluates.
+                // One fused sweep: `g * d(x)` per element.
                 let mut out = ctx.take(grad_output.len());
                 for ((slot, &g), &x) in out
                     .iter_mut()
@@ -137,8 +115,8 @@ macro_rules! pointwise_activation {
 // `ActivationGrad::derivative`, so the scalar expressions the standalone
 // layers evaluate, the ones the fused GEMM epilogues evaluate (forward
 // activation and backward gradient mask alike), are each one definition —
-// the bit-identity between the planned/fused and allocating paths is
-// structural, not a manually-synced duplicate.
+// the bit-identity between the standalone and fused paths is structural,
+// not a manually-synced duplicate.
 
 pointwise_activation!(
     /// Rectified linear unit: `max(0, x)`.
@@ -192,10 +170,13 @@ mod tests {
 
     fn finite_difference<L: Layer>(layer: &mut L, seed: u64) {
         let mut rng = StdRng::seed_from(seed);
+        let mut ctx = TensorArena::new();
         let x = Tensor::randn(&[4, 5], 0.0, 1.5, &mut rng);
         let probe = Tensor::randn(&[4, 5], 0.0, 1.0, &mut rng);
-        layer.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = layer.backward(&probe).unwrap();
+        layer
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        let grad = layer.backward_into(&probe, &mut ctx).unwrap();
         let eps = 1e-3;
         for idx in [0usize, 7, 19] {
             // Skip points too close to activation kinks where the numerical
@@ -231,19 +212,26 @@ mod tests {
     fn relu_gradient_masks_negative_inputs() {
         let mut relu = Relu::new();
         let mut rng = StdRng::seed_from(0);
+        let mut ctx = TensorArena::new();
         let x = Tensor::from_vec(vec![-1.0, 3.0], &[1, 2]).unwrap();
-        relu.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = relu.backward(&Tensor::ones(&[1, 2])).unwrap();
+        relu.forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        let grad = relu
+            .backward_into(&Tensor::ones(&[1, 2]), &mut ctx)
+            .unwrap();
         assert_eq!(grad.as_slice(), &[0.0, 1.0]);
     }
 
     #[test]
     fn infer_mode_forward_writes_no_cache() {
         let mut relu = Relu::new();
+        let mut ctx = TensorArena::new();
         let x = Tensor::from_vec(vec![-1.0, 3.0], &[1, 2]).unwrap();
-        relu.forward(&x, RunMode::Infer).unwrap();
+        relu.forward_into(&x, RunMode::Infer, &mut ctx).unwrap();
         // No cache was written, so backward still reports the missing pass.
-        assert!(relu.backward(&Tensor::ones(&[1, 2])).is_err());
+        assert!(relu
+            .backward_into(&Tensor::ones(&[1, 2]), &mut ctx)
+            .is_err());
     }
 
     #[test]
@@ -277,7 +265,9 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut layer = HardSigmoid::new();
-        assert!(layer.backward(&Tensor::zeros(&[1, 1])).is_err());
+        assert!(layer
+            .backward_into(&Tensor::zeros(&[1, 1]), &mut TensorArena::new())
+            .is_err());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! `Parallelism` thread count.
 
 use mtlsplit_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_into, conv2d_backward_params_into, conv2d_cols_len,
-    conv2d_fused, conv2d_fused_caching, ChannelNorm, Conv2dSpec, ConvFusion, EpilogueActivation,
-    GradMask, StdRng, Tensor, TensorArena,
+    conv2d, conv2d_backward_into, conv2d_backward_params_into, conv2d_cols_len, conv2d_fused,
+    conv2d_fused_caching, ChannelNorm, Conv2dSpec, ConvFusion, EpilogueActivation, GradMask,
+    StdRng, Tensor, TensorArena,
 };
 
 use crate::error::{NnError, Result};
@@ -45,11 +45,10 @@ pub struct Conv2d {
     weight: Parameter,
     bias: Parameter,
     cached_input: Option<Tensor>,
-    /// Forward im2col columns cached by the planned training path (unit-
-    /// major, sized by `conv2d_cols_len` for the cached input), so the
-    /// backward weight-gradient GEMMs skip the second unfold. Only the
-    /// planned `forward_into` fills this; the allocating `forward` clears
-    /// it so a stale cache can never pair with a fresher input.
+    /// Forward im2col columns cached by the train-mode forward (unit-major,
+    /// sized by `conv2d_cols_len` for the cached input), so the backward
+    /// weight-gradient GEMMs skip the second unfold. Pointwise convolutions
+    /// never unfold and leave it empty.
     cached_cols: Option<Vec<f32>>,
 }
 
@@ -91,8 +90,8 @@ impl Conv2d {
         &self.spec
     }
 
-    /// The arena-backed inference kernel shared by the planned-path entry
-    /// points: output storage from the arena, bias (plus any fused norm and
+    /// The inference kernel shared by the unfused and fused entry points:
+    /// output storage from the arena, bias (plus any fused norm and
     /// activation) riding in the convolution kernels' write-back.
     fn run_infer_into(
         &self,
@@ -126,10 +125,11 @@ impl Conv2d {
         Ok(Tensor::from_vec(out, &dims)?)
     }
 
-    /// The shared planned-backward kernel: all three gradients on arena
-    /// buffers, the forward-cached im2col columns (when the planned forward
-    /// produced them) feeding the weight-gradient GEMMs, and an optional
-    /// fused activation-gradient mask on the input gradient.
+    /// The backward kernel shared by the unfused and masked entry points:
+    /// all three gradients on arena buffers, the forward-cached im2col
+    /// columns (when the forward produced them) feeding the weight-gradient
+    /// GEMMs, and an optional fused activation-gradient mask on the input
+    /// gradient.
     fn run_backward_into(
         &mut self,
         grad_output: &Tensor,
@@ -181,26 +181,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        let out = self.infer(input)?;
-        if mode.is_train() {
-            self.cached_input = Some(input.clone());
-            // An allocating forward computes no column cache; drop any
-            // stale one so backward never pairs it with this input.
-            self.cached_cols = None;
-        }
-        Ok(out)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(conv2d(
-            input,
-            self.weight.value(),
-            Some(self.bias.value()),
-            &self.spec,
-        )?)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -287,18 +267,6 @@ impl Layer for Conv2d {
             },
             ctx,
         ))
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "Conv2d" })?;
-        let (grad_input, grad_weight, grad_bias) =
-            conv2d_backward(input, self.weight.value(), grad_output, &self.spec)?;
-        self.weight.accumulate_grad(&grad_weight)?;
-        self.bias.accumulate_grad(&grad_bias)?;
-        Ok(grad_input)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -411,14 +379,6 @@ impl DepthwiseConv2d {
 }
 
 impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        self.inner.forward(input, mode)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.inner.infer(input)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         self.inner.infer_into(input, ctx)
     }
@@ -449,10 +409,6 @@ impl Layer for DepthwiseConv2d {
         ctx: &mut TensorArena,
     ) -> Result<Tensor> {
         self.inner.forward_into(input, mode, ctx)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.inner.backward(grad_output)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -502,14 +458,6 @@ impl PointwiseConv2d {
 }
 
 impl Layer for PointwiseConv2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        self.inner.forward(input, mode)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.inner.infer(input)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         self.inner.infer_into(input, ctx)
     }
@@ -540,10 +488,6 @@ impl Layer for PointwiseConv2d {
         ctx: &mut TensorArena,
     ) -> Result<Tensor> {
         self.inner.forward_into(input, mode, ctx)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.inner.backward(grad_output)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -614,9 +558,12 @@ mod tests {
         let mut rng = StdRng::seed_from(4);
         let mut conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
         let x = Tensor::randn(&[1, 2, 5, 5], 0.0, 1.0, &mut rng);
-        let y = conv.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let mut ctx = TensorArena::new();
+        let y = conv
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
         let grad = Tensor::ones(y.dims());
-        let grad_input = conv.backward(&grad).unwrap();
+        let grad_input = conv.backward_into(&grad, &mut ctx).unwrap();
         assert_eq!(grad_input.dims(), x.dims());
         assert!(conv.parameters()[0].grad().squared_norm() > 0.0);
         assert!(conv.parameters()[1].grad().squared_norm() > 0.0);
@@ -626,7 +573,9 @@ mod tests {
     fn backward_requires_forward() {
         let mut rng = StdRng::seed_from(5);
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng);
-        assert!(conv.backward(&Tensor::zeros(&[1, 1, 5, 5])).is_err());
+        assert!(conv
+            .backward_into(&Tensor::zeros(&[1, 1, 5, 5]), &mut TensorArena::new())
+            .is_err());
     }
 
     #[test]

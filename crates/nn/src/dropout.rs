@@ -1,6 +1,6 @@
 //! Inverted dropout regularisation.
 
-use mtlsplit_tensor::{Tensor, TensorArena};
+use mtlsplit_tensor::{Tensor, TensorArena, TensorError};
 
 use crate::error::{NnError, Result};
 use crate::param::Parameter;
@@ -13,7 +13,7 @@ use crate::{Layer, RunMode};
 /// The layer holds no RNG of its own: the mask is drawn from the RNG carried
 /// by [`RunMode::Train`], so the same training seed reproduces the same
 /// masks and a frozen layer has no stochastic state left to mutate —
-/// [`Layer::infer`] is the identity.
+/// [`Layer::infer_into`] is the identity.
 #[derive(Debug)]
 pub struct Dropout {
     p: f32,
@@ -43,29 +43,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        let RunMode::Train { rng } = mode else {
-            return self.infer(input);
-        };
-        if self.p == 0.0 {
-            self.mask = Some(Tensor::ones(input.dims()));
-            return Ok(input.clone());
-        }
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mut mask = Tensor::zeros(input.dims());
-        for value in mask.as_mut_slice() {
-            *value = if rng.chance(keep) { scale } else { 0.0 };
-        }
-        let out = input.mul(&mask)?;
-        self.mask = Some(mask);
-        Ok(out)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.clone())
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -86,8 +63,8 @@ impl Layer for Dropout {
         } else {
             let keep = 1.0 - self.p;
             let scale = 1.0 / keep;
-            // Same RNG draw order as the allocating path: one `chance`
-            // call per element, in order.
+            // One `chance` call per element, in order: the RNG draw order
+            // every training run with this seed reproduces.
             for value in mask.iter_mut() {
                 *value = if rng.chance(keep) { scale } else { 0.0 };
             }
@@ -108,29 +85,20 @@ impl Layer for Dropout {
         Ok(Tensor::from_vec(out, input.dims())?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "Dropout" })?;
-        Ok(grad_output.mul(mask)?)
-    }
-
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
-        let aligned = self
-            .mask
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "Dropout" })?
-            .dims()
-            == grad_output.dims();
-        if !aligned {
-            // Canonical shape error from the allocating path.
-            return self.backward(grad_output);
-        }
         let mask = self
             .mask
             .as_ref()
             .ok_or(NnError::MissingForwardCache { layer: "Dropout" })?;
+        if mask.dims() != grad_output.dims() {
+            // The element-wise product's canonical shape error.
+            return Err(TensorError::ShapeMismatch {
+                op: "zip",
+                lhs: grad_output.dims().to_vec(),
+                rhs: mask.dims().to_vec(),
+            }
+            .into());
+        }
         let mut out = ctx.take(grad_output.len());
         for ((slot, &g), &m) in out
             .iter_mut()
@@ -180,7 +148,9 @@ mod tests {
         let mut rng = StdRng::seed_from(2);
         let mut dropout = Dropout::new(0.5).unwrap();
         let x = Tensor::ones(&[100, 100]);
-        let y = dropout.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let y = dropout
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         let ratio = zeros as f32 / y.len() as f32;
         assert!((ratio - 0.5).abs() < 0.05, "dropped fraction {ratio}");
@@ -194,7 +164,9 @@ mod tests {
         let draw = || {
             let mut rng = StdRng::seed_from(7);
             let mut dropout = Dropout::new(0.3).unwrap();
-            dropout.forward(&x, RunMode::train(&mut rng)).unwrap()
+            dropout
+                .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+                .unwrap()
         };
         assert_eq!(draw(), draw());
     }
@@ -204,8 +176,13 @@ mod tests {
         let mut rng = StdRng::seed_from(3);
         let mut dropout = Dropout::new(0.5).unwrap();
         let x = Tensor::ones(&[10, 10]);
-        let y = dropout.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = dropout.backward(&Tensor::ones(&[10, 10])).unwrap();
+        let mut ctx = TensorArena::new();
+        let y = dropout
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        let grad = dropout
+            .backward_into(&Tensor::ones(&[10, 10]), &mut ctx)
+            .unwrap();
         // Exactly the positions that survived forward propagate gradient.
         for (a, b) in y.as_slice().iter().zip(grad.as_slice()) {
             assert_eq!(a == &0.0, b == &0.0);
@@ -215,11 +192,16 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut dropout = Dropout::new(0.3).unwrap();
-        assert!(dropout.backward(&Tensor::zeros(&[2, 2])).is_err());
+        let mut ctx = TensorArena::new();
+        assert!(dropout
+            .backward_into(&Tensor::zeros(&[2, 2]), &mut ctx)
+            .is_err());
         // An infer-mode forward must not satisfy the cache requirement either.
         dropout
-            .forward(&Tensor::zeros(&[2, 2]), RunMode::Infer)
+            .forward_into(&Tensor::zeros(&[2, 2]), RunMode::Infer, &mut ctx)
             .unwrap();
-        assert!(dropout.backward(&Tensor::zeros(&[2, 2])).is_err());
+        assert!(dropout
+            .backward_into(&Tensor::zeros(&[2, 2]), &mut ctx)
+            .is_err());
     }
 }

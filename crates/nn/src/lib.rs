@@ -9,54 +9,53 @@
 //! optimizers used for training and fine-tuning.
 //!
 //! Differentiation is *layer-wise reverse mode*: each layer caches whatever
-//! it needs during `forward` and produces the input gradient (plus its own
-//! parameter gradients) during `backward`. A [`Sequential`] container chains
-//! layers; the multi-head topology of MTL-Split is composed in
-//! `mtlsplit-core` by fanning one backbone output into several sequential
-//! heads and summing the gradients that come back.
+//! it needs during [`Layer::forward_into`] and produces the input gradient
+//! (plus its own parameter gradients) during [`Layer::backward_into`]. A
+//! [`Sequential`] container chains layers; the multi-head topology of
+//! MTL-Split is composed in `mtlsplit-core` by fanning one backbone output
+//! into several sequential heads and summing the gradients that come back.
 //!
 //! Forward passes are driven by a typed [`RunMode`] instead of a boolean
 //! flag: [`RunMode::Train`] carries the RNG that stochastic layers (dropout)
 //! draw from and runs through `&mut self` so layers can cache activations
-//! for [`Layer::backward`]; inference goes through [`Layer::infer`], which
-//! takes `&self`, never mutates, and therefore lets a frozen model be shared
-//! across threads behind an `Arc`.
+//! for the backward pass; inference goes through [`Layer::infer_into`],
+//! which takes `&self`, never mutates, and therefore lets a frozen model be
+//! shared across threads behind an `Arc`.
 //!
-//! # The planned, zero-allocation runtimes
+//! # One implementation per layer, on a recycled-buffer arena
 //!
-//! Both phases have a planned counterpart running on a recycled-buffer
-//! [`TensorArena`]:
+//! Every pass of every layer draws its outputs, caches and gradient
+//! temporaries from a [`TensorArena`]; there is no second, allocating
+//! implementation to keep in sync. [`Layer::infer`] is only a convenience
+//! that runs [`Layer::infer_into`] on a fresh arena.
 //!
-//! * **Inference** — [`Layer::infer_into`] draws every output from the
-//!   arena and [`InferPlan`] packages the per-caller arena with a warm-up
-//!   pass; adjacent fusable layers (conv → batch-norm → activation,
-//!   GEMM → activation) collapse into single fused kernels at plan time.
-//! * **Training** — [`Layer::forward_into`] / [`Layer::backward_into`] are
-//!   the training twins: outputs, cached activations, and every gradient
-//!   temporary come from the arena, replaced caches recycle the buffer the
-//!   previous step used (cross-step reuse), and [`TrainPlan`] packages the
-//!   arena for a whole training loop — after the first (warm-up) step, a
-//!   steady-state training step performs **zero heap allocations**. On the
-//!   backward pass, a GEMM-backed layer preceded by a fusable activation
-//!   absorbs the activation's gradient mask into its input-gradient
-//!   kernel's write-back ([`GradMask`] riding [`mtlsplit_tensor::Epilogue::Mask`]),
-//!   a `Linear` layer's bias-gradient reduction runs on the GEMM's
-//!   single-row GEMV fast path instead of a separate sum pass, and a
-//!   network's first layer can skip its input gradient entirely
-//!   ([`Layer::backward_into_params_only`]).
+//! * **Inference** — [`InferPlan`] packages a per-caller arena with a
+//!   warm-up pass, so steady-state requests allocate nothing; adjacent
+//!   fusable layers (conv → batch-norm → activation, GEMM → activation)
+//!   collapse into single fused kernels at plan time.
+//! * **Training** — [`TrainPlan`] packages the arena for a whole training
+//!   loop: replaced caches recycle the buffer the previous step used
+//!   (cross-step reuse), so after the first (warm-up) step a steady-state
+//!   training step performs **zero heap allocations**. On the backward
+//!   pass, a GEMM-backed layer preceded by a fusable activation absorbs the
+//!   activation's gradient mask into its input-gradient kernel's write-back
+//!   ([`GradMask`] riding [`mtlsplit_tensor::Epilogue::Mask`]), a `Linear`
+//!   layer's bias-gradient reduction runs on the GEMM's single-row GEMV fast
+//!   path instead of a separate sum pass, and a network's first layer can
+//!   skip its input gradient entirely ([`Layer::backward_into_params_only`]).
 //!
-//! Both default-implement via the allocating paths, so third-party layers
-//! keep working unchanged. The contract mirrors `infer_into`'s: planned
-//! results — outputs, caches, input gradients, parameter gradients, and
-//! therefore every parameter over a full training run — must be
-//! bit-identical to the allocating path for every thread count
-//! (property-tested at the workspace level).
+//! Fusion and arena reuse never change a bit: a [`Sequential`] pass is
+//! bit-identical to running its layers one at a time, each on a fresh
+//! arena, for every thread count, and the whole stack is checked against
+//! independent naive reference implementations at the workspace level.
 //!
 //! # Example
 //!
 //! ```
 //! # use std::error::Error;
-//! use mtlsplit_nn::{Layer, Linear, Relu, RunMode, Sequential, CrossEntropyLoss, Sgd, Optimizer};
+//! use mtlsplit_nn::{
+//!     CrossEntropyLoss, Layer, Linear, Optimizer, Relu, RunMode, Sequential, Sgd, TrainPlan,
+//! };
 //! use mtlsplit_tensor::{StdRng, Tensor};
 //!
 //! # fn main() -> Result<(), Box<dyn Error>> {
@@ -69,11 +68,14 @@
 //! let targets = vec![0usize, 1, 2, 0, 1, 2, 0, 1];
 //!
 //! let mut train_rng = StdRng::seed_from(1);
-//! let logits = net.forward(&x, RunMode::train(&mut train_rng))?;
+//! let mut plan = TrainPlan::new();
+//! let logits = plan.forward(&mut net, &x, RunMode::train(&mut train_rng))?;
 //! let loss = CrossEntropyLoss::new();
 //! let (value, grad) = loss.forward_backward(&logits, &targets)?;
-//! net.backward(&grad)?;
+//! let grad_input = plan.backward(&mut net, &grad)?;
 //! Sgd::new(0.1).step(&mut net.parameters_mut())?;
+//! plan.recycle(logits);
+//! plan.recycle(grad_input);
 //! assert!(value.is_finite());
 //!
 //! // Inference is immutable: `infer` takes `&self`.
@@ -138,13 +140,13 @@ use mtlsplit_tensor::{StdRng, Tensor};
 pub enum RunMode<'a> {
     /// Training-time behaviour: dropout active (drawing from `rng`), batch
     /// statistics computed and running averages updated, activations cached
-    /// for [`Layer::backward`].
+    /// for [`Layer::backward_into`].
     Train {
         /// The RNG stochastic layers draw from during this pass.
         rng: &'a mut StdRng,
     },
     /// Inference behaviour: deterministic, cache-free, mutation-free — the
-    /// same computation [`Layer::infer`] performs through `&self`.
+    /// same computation [`Layer::infer_into`] performs through `&self`.
     Infer,
 }
 
@@ -172,66 +174,59 @@ impl<'a> RunMode<'a> {
 /// A differentiable network component.
 ///
 /// Layers own their [`Parameter`]s, cache whatever activations they need
-/// during [`Layer::forward`], and consume that cache in [`Layer::backward`]
-/// to produce the gradient with respect to their input while accumulating
-/// gradients into their parameters.
+/// during a train-mode [`Layer::forward_into`], and consume that cache in
+/// [`Layer::backward_into`] to produce the gradient with respect to their
+/// input while accumulating gradients into their parameters.
 ///
-/// Training and inference are separate paths:
+/// Each pass has exactly one implementation, and every one of them draws
+/// its buffers from a caller-owned [`TensorArena`]:
 ///
-/// * [`Layer::forward`] takes `&mut self` plus a [`RunMode`]. In
+/// * [`Layer::forward_into`] takes `&mut self` plus a [`RunMode`]. In
 ///   [`RunMode::Train`] it caches activations for the subsequent backward
-///   pass; in [`RunMode::Infer`] it behaves exactly like [`Layer::infer`]
-///   (useful when the caller only holds a `&mut` handle mid-training).
-/// * [`Layer::infer`] takes `&self` and never mutates: no cache writes, no
-///   dropout state, batch norm reads its running statistics. A frozen model
-///   can therefore serve concurrent inference from shared (`Arc`) state,
-///   which is what the multi-worker `InferenceServer` in `mtlsplit-serve`
-///   relies on. The trait requires `Sync` for exactly that reason.
+///   pass; in [`RunMode::Infer`] it behaves exactly like
+///   [`Layer::infer_into`] (useful when the caller only holds a `&mut`
+///   handle mid-training).
+/// * [`Layer::infer_into`] takes `&self` and never mutates: no cache
+///   writes, no dropout state, batch norm reads its running statistics. A
+///   frozen model can therefore serve concurrent inference from shared
+///   (`Arc`) state, which is what the multi-worker `InferenceServer` in
+///   `mtlsplit-serve` relies on. The trait requires `Sync` for exactly that
+///   reason. [`Layer::infer`] is the same pass on a fresh arena.
 ///
 /// The trait is object-safe so heterogeneous layers can be stored in a
 /// [`Sequential`] container.
 pub trait Layer: Send + Sync {
-    /// Runs the layer on `input` under the given [`RunMode`].
+    /// Runs the layer on `input` in inference mode through `&self`, on a
+    /// fresh [`TensorArena`].
     ///
-    /// In [`RunMode::Train`] the layer caches whatever [`Layer::backward`]
-    /// will need; in [`RunMode::Infer`] it must produce the same output as
-    /// [`Layer::infer`] and leave every cache untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor>;
-
-    /// Runs the layer on `input` in inference mode through `&self`.
-    ///
-    /// Implementations must not mutate any state (the signature enforces it
-    /// short of interior mutability, which layers must not use).
+    /// A convenience for one-off calls: it runs [`Layer::infer_into`] under
+    /// the same `infer` span an [`InferPlan`] opens, so the result is
+    /// bit-identical to the planned path. Callers that serve many requests
+    /// should hold an [`InferPlan`] instead, so buffers are reused across
+    /// requests.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
-    fn infer(&self, input: &Tensor) -> Result<Tensor>;
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let _span = plan::infer_span(input);
+        self.infer_into(input, &mut TensorArena::new())
+    }
 
     /// Runs the layer on `input` in inference mode, drawing the output
     /// buffer from `ctx` instead of the heap.
     ///
-    /// This is the planned, zero-allocation inference path: implementations
-    /// take their output storage with [`TensorArena::take`] (contents
-    /// unspecified — they must overwrite every element) and return it as an
-    /// owned [`Tensor`]; the *caller* recycles the input once it is done
-    /// with it. Results must be bit-identical to [`Layer::infer`].
-    ///
-    /// The default implementation simply calls the allocating
-    /// [`Layer::infer`], so third-party layers keep working unchanged —
-    /// they just do not benefit from the arena.
+    /// Implementations take their output storage with
+    /// [`TensorArena::take`] (contents unspecified — they must overwrite
+    /// every element) and return it as an owned [`Tensor`]; the *caller*
+    /// recycles the input once it is done with it. Implementations must not
+    /// mutate any state (the signature enforces it short of interior
+    /// mutability, which layers must not use).
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
-    fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
-        let _ = ctx;
-        self.infer(input)
-    }
+    fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor>;
 
     /// If this layer is a pure element-wise activation that a preceding
     /// GEMM-backed layer can absorb into its fused epilogue, returns it.
@@ -249,8 +244,8 @@ pub trait Layer: Send + Sync {
     /// Returns `None` when the layer cannot absorb the activation (the
     /// default), in which case the caller runs the unfused two-step path.
     /// When fusion happens, the result must be bit-identical to
-    /// [`Layer::infer`] followed by the activation layer's own
-    /// [`Layer::infer`].
+    /// [`Layer::infer_into`] followed by the activation layer's own
+    /// [`Layer::infer_into`].
     fn infer_into_fused(
         &self,
         input: &Tensor,
@@ -291,17 +286,13 @@ pub trait Layer: Send + Sync {
     /// [`RunMode::Train`], every cached activation — from `ctx` instead of
     /// the heap.
     ///
-    /// This is the planned, zero-allocation *training* counterpart of
-    /// [`Layer::infer_into`]: implementations take output and cache storage
-    /// with [`TensorArena::take`] (contents unspecified — they must
-    /// overwrite every element) and recycle the cache buffers they replace,
-    /// so after the first (warm-up) step a training loop reuses the same
-    /// memory across steps. Results and cached state must be bit-identical
-    /// to [`Layer::forward`].
-    ///
-    /// The default implementation runs the allocating [`Layer::forward`] in
-    /// train mode (so third-party layers keep working unchanged) and the
-    /// planned [`Layer::infer_into`] in infer mode.
+    /// This is the training counterpart of [`Layer::infer_into`]:
+    /// implementations take output and cache storage with
+    /// [`TensorArena::take`] (contents unspecified — they must overwrite
+    /// every element) and recycle the cache buffers they replace, so after
+    /// the first (warm-up) step a training loop reuses the same memory
+    /// across steps. In [`RunMode::Infer`] the result must equal
+    /// [`Layer::infer_into`] and no cache may be written.
     ///
     /// # Errors
     ///
@@ -311,41 +302,21 @@ pub trait Layer: Send + Sync {
         input: &Tensor,
         mode: RunMode<'_>,
         ctx: &mut TensorArena,
-    ) -> Result<Tensor> {
-        if mode.is_train() {
-            self.forward(input, mode)
-        } else {
-            self.infer_into(input, ctx)
-        }
-    }
+    ) -> Result<Tensor>;
 
     /// Propagates `grad_output` backwards through the layer, returning the
     /// gradient with respect to the layer input and accumulating parameter
     /// gradients.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if called before `forward` or with a gradient whose
-    /// shape does not match the cached activation.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
-
-    /// [`Layer::backward`] drawing the returned input gradient — and every
-    /// gradient temporary — from `ctx` instead of the heap.
-    ///
-    /// Implementations accumulate parameter gradients exactly like
-    /// [`Layer::backward`] (the temporaries go back to the arena once
-    /// accumulated) and must produce bit-identical gradients. The *caller*
-    /// recycles the returned tensor once consumed. The default
-    /// implementation simply calls the allocating [`Layer::backward`].
+    /// The returned input gradient and every gradient temporary come from
+    /// `ctx` (the temporaries go back to the arena once accumulated). The
+    /// *caller* recycles the returned tensor once consumed.
     ///
     /// # Errors
     ///
     /// Returns an error if called before a train-mode forward or with a
     /// mismatched gradient shape.
-    fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
-        let _ = ctx;
-        self.backward(grad_output)
-    }
+    fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor>;
 
     /// If this layer is a pure element-wise activation whose backward pass a
     /// preceding GEMM-backed layer can absorb into its backward GEMM's
@@ -370,7 +341,7 @@ pub trait Layer: Send + Sync {
     /// and also the right answer when the mask does not align with the
     /// layer's input gradient), in which case the caller runs the unfused
     /// two-step path. When fusion happens, the result must be bit-identical
-    /// to [`Layer::backward`] followed by the activation layer's own
+    /// to [`Layer::backward_into`] followed by the activation layer's own
     /// backward pass.
     fn backward_into_masked(
         &mut self,
@@ -473,5 +444,56 @@ mod run_mode_tests {
         fn assert_send_sync<T: Send + Sync + ?Sized>() {}
         assert_send_sync::<dyn Layer>();
         assert_send_sync::<Box<dyn Layer>>();
+    }
+}
+
+#[cfg(test)]
+mod typed_error_tests {
+    use super::*;
+    use mtlsplit_tensor::global_avg_pool2d;
+
+    /// Each layer reports a bad input or gradient shape as the typed error
+    /// of the tensor operation it mirrors — an element-wise product, a
+    /// flatten, a global pool — and never recurses into another pass.
+    #[test]
+    fn shape_errors_are_the_canonical_typed_errors() {
+        let mut rng = StdRng::seed_from(0);
+        let mut ctx = TensorArena::new();
+        let cached = Tensor::zeros(&[2, 3]);
+        let misaligned = Tensor::zeros(&[3, 2]);
+        let product_error = NnError::from(misaligned.mul(&cached).unwrap_err());
+
+        let mut relu = Relu::new();
+        relu.forward_into(&cached, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        assert_eq!(
+            relu.backward_into(&misaligned, &mut ctx).unwrap_err(),
+            product_error
+        );
+
+        let mut dropout = Dropout::new(0.5).unwrap();
+        dropout
+            .forward_into(&cached, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        assert_eq!(
+            dropout.backward_into(&misaligned, &mut ctx).unwrap_err(),
+            product_error
+        );
+
+        let scalar = Tensor::scalar(1.0);
+        let flatten_error = NnError::from(scalar.flatten_batch().unwrap_err());
+        let flatten = Flatten::new();
+        assert_eq!(
+            flatten.infer_into(&scalar, &mut ctx).unwrap_err(),
+            flatten_error
+        );
+        assert_eq!(flatten.infer(&scalar).unwrap_err(), flatten_error);
+
+        let pool = GlobalAvgPool2d::new();
+        for input in [scalar, Tensor::zeros(&[2, 3]), Tensor::zeros(&[1, 2, 3])] {
+            let pool_error = NnError::from(global_avg_pool2d(&input).unwrap_err());
+            assert_eq!(pool.infer_into(&input, &mut ctx).unwrap_err(), pool_error);
+            assert_eq!(pool.infer(&input).unwrap_err(), pool_error);
+        }
     }
 }

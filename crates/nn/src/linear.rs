@@ -3,7 +3,7 @@
 
 use mtlsplit_tensor::{
     sgemm, sgemm_epilogue, Bias, BiasAxis, Epilogue, EpilogueActivation, GradMask, Parallelism,
-    Shape, StdRng, Tensor, TensorArena,
+    Shape, StdRng, Tensor, TensorArena, TensorError,
 };
 
 use crate::error::{NnError, Result};
@@ -115,8 +115,8 @@ impl Linear {
         Ok(Tensor::from_vec(out, &[batch, self.out_features])?)
     }
 
-    /// The shared planned-backward kernel: all three gradients on arena
-    /// buffers, the bias-gradient reduction riding the GEMM's single-row
+    /// The backward kernel shared by the unfused and masked entry points:
+    /// all three gradients on arena buffers, the bias-gradient reduction riding the GEMM's single-row
     /// GEMV fast path, and — when `mask` is given — a following (in
     /// backward order) activation's gradient mask folded into the
     /// input-gradient GEMM's write-back via [`Epilogue::Mask`].
@@ -143,8 +143,8 @@ impl Linear {
         }
         let batch = grad_output.dims()[0];
         let par = Parallelism::current();
-        // dL/dW = grad_outputᵀ · input — same GEMM as the allocating path,
-        // with the output landing in a recycled arena buffer.
+        // dL/dW = grad_outputᵀ · input — the transposes are GEMM flags, not
+        // copies — with the output landing in a recycled arena buffer.
         let mut grad_weight = ctx.take(self.out_features * self.in_features);
         sgemm(
             true,
@@ -210,41 +210,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        let out = self.infer(input)?;
-        if mode.is_train() {
-            self.cached_input = Some(input.clone());
-        }
-        Ok(out)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        // Allocating path: build the output already prefilled with the bias
-        // rows (one pass — no zero-fill that the prefill would immediately
-        // overwrite) and accumulate through beta == 1. Chain per element is
-        // `bias + ascending-k` — bit-identical to the epilogue formulation
-        // the arena paths use.
-        let batch = self.check_input(input)?;
-        let mut out = Vec::with_capacity(batch * self.out_features);
-        for _ in 0..batch {
-            out.extend_from_slice(self.bias.value().as_slice());
-        }
-        sgemm(
-            false,
-            true,
-            batch,
-            self.out_features,
-            self.in_features,
-            1.0,
-            input.as_slice(),
-            self.weight.value().as_slice(),
-            1.0,
-            &mut out,
-            Parallelism::current(),
-        );
-        Ok(Tensor::from_vec(out, &[batch, self.out_features])?)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -274,62 +239,6 @@ impl Layer for Linear {
             let out = ctx.take(batch * self.out_features);
             self.run_infer(input, Some(activation), out)
         }))
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "Linear" })?;
-        if grad_output.rank() != 2 || grad_output.dims() != [input.dims()[0], self.out_features] {
-            return Err(NnError::InvalidConfig {
-                reason: format!(
-                    "Linear({}, {}) backward received grad_output of shape {:?} for input {:?}",
-                    self.in_features,
-                    self.out_features,
-                    grad_output.dims(),
-                    input.dims()
-                ),
-            });
-        }
-        // dL/dW = grad_outputᵀ · input, dL/db = column sums, dL/dx =
-        // grad_output · W — the transposes are GEMM flags, not copies.
-        let batch = grad_output.dims()[0];
-        let par = Parallelism::current();
-        let mut grad_weight = vec![0.0f32; self.out_features * self.in_features];
-        sgemm(
-            true,
-            false,
-            self.out_features,
-            self.in_features,
-            batch,
-            1.0,
-            grad_output.as_slice(),
-            input.as_slice(),
-            0.0,
-            &mut grad_weight,
-            par,
-        );
-        let grad_weight = Tensor::from_vec(grad_weight, &[self.out_features, self.in_features])?;
-        let grad_bias = grad_output.sum_axis0()?;
-        let mut grad_input = vec![0.0f32; batch * self.in_features];
-        sgemm(
-            false,
-            false,
-            batch,
-            self.in_features,
-            self.out_features,
-            1.0,
-            grad_output.as_slice(),
-            self.weight.value().as_slice(),
-            0.0,
-            &mut grad_input,
-            par,
-        );
-        let grad_input = Tensor::from_vec(grad_input, &[batch, self.in_features])?;
-        self.weight.accumulate_grad(&grad_weight)?;
-        self.bias.accumulate_grad(&grad_bias)?;
-        Ok(grad_input)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -390,13 +299,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cached_dims = Some(input.shape().clone());
-        }
-        self.infer(input)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -409,15 +311,17 @@ impl Layer for Flatten {
         self.infer_into(input, ctx)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.flatten_batch()?)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         // Same result as `flatten_batch`, with the data landing in a
         // recycled arena buffer instead of a fresh clone.
         if input.rank() == 0 {
-            return self.infer(input);
+            // `flatten_batch`'s canonical error: a scalar has no batch axis.
+            return Err(TensorError::RankMismatch {
+                op: "flatten_batch",
+                expected: 1,
+                actual: 0,
+            }
+            .into());
         }
         let batch = input.dims()[0];
         let features = input.len().checked_div(batch).unwrap_or(0);
@@ -426,21 +330,13 @@ impl Layer for Flatten {
         Ok(Tensor::from_vec(out, &[batch, features])?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "Flatten" })?;
-        Ok(grad_output.reshape(dims.dims())?)
-    }
-
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         let dims = self
             .cached_dims
             .as_ref()
             .ok_or(NnError::MissingForwardCache { layer: "Flatten" })?;
         if dims.len() != grad_output.len() {
-            // Canonical reshape error from the allocating path.
+            // The canonical reshape error.
             return Ok(grad_output.reshape(dims.dims())?);
         }
         let mut out = ctx.take(grad_output.len());
@@ -491,7 +387,7 @@ mod tests {
         let mut rng = StdRng::seed_from(3);
         let mut layer = Linear::new(2, 2, &mut rng);
         assert!(matches!(
-            layer.backward(&Tensor::zeros(&[1, 2])),
+            layer.backward_into(&Tensor::zeros(&[1, 2]), &mut TensorArena::new()),
             Err(NnError::MissingForwardCache { .. })
         ));
     }
@@ -503,9 +399,11 @@ mod tests {
         let x = Tensor::randn(&[4, 3], 0.0, 1.0, &mut rng);
         let probe = Tensor::randn(&[4, 2], 0.0, 1.0, &mut rng);
 
-        let y = layer.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let _ = y;
-        let grad_input = layer.backward(&probe).unwrap();
+        let mut ctx = TensorArena::new();
+        layer
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        let grad_input = layer.backward_into(&probe, &mut ctx).unwrap();
 
         // loss(x, w) = sum(probe * (x W^T + b))
         let eps = 1e-2;
@@ -536,33 +434,69 @@ mod tests {
 
     #[test]
     fn planned_backward_matches_allocating_backward_bitwise() {
-        // Same weights, same forward, same grad: the planned backward (arena
-        // buffers, grad-bias on the GEMV fast path) must reproduce the
-        // allocating backward — input gradient and parameter gradients — to
-        // the bit.
+        // The arena backward (recycled buffers, grad-bias on the GEMV fast
+        // path) against the allocating formulation written out here: three
+        // fresh buffers, `dW = goᵀ·x` and `dx = go·W` as plain GEMMs and
+        // `db` as the separate `sum_axis0` pass. Input gradient and
+        // parameter gradients must agree to the bit, across batch sizes and
+        // one reused arena.
         let mut rng = StdRng::seed_from(21);
-        let mut reference = Linear::new(7, 5, &mut rng);
-        let mut rng2 = StdRng::seed_from(21);
-        let mut planned = Linear::new(7, 5, &mut rng2);
+        let mut planned = Linear::new(7, 5, &mut rng);
         let mut ctx = TensorArena::new();
+        let par = Parallelism::current();
         for batch in [3usize, 1, 6] {
             let x = Tensor::randn(&[batch, 7], 0.0, 1.0, &mut rng);
             let probe = Tensor::randn(&[batch, 5], 0.0, 1.0, &mut rng);
-            reference.forward(&x, RunMode::Infer).unwrap();
-            reference.cached_input = Some(x.clone());
-            planned.forward_into(&x, RunMode::Infer, &mut ctx).unwrap();
-            planned.cached_input = Some(x.clone());
-            let g_ref = reference.backward(&probe).unwrap();
+            planned.weight.zero_grad();
+            planned.bias.zero_grad();
+            planned
+                .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+                .unwrap();
             let g = planned.backward_into(&probe, &mut ctx).unwrap();
-            assert_eq!(g, g_ref, "grad_input diverged at batch {batch}");
+
+            let mut grad_weight = vec![0.0f32; 5 * 7];
+            sgemm(
+                true,
+                false,
+                5,
+                7,
+                batch,
+                1.0,
+                probe.as_slice(),
+                x.as_slice(),
+                0.0,
+                &mut grad_weight,
+                par,
+            );
+            let mut grad_input = vec![0.0f32; batch * 7];
+            sgemm(
+                false,
+                false,
+                batch,
+                7,
+                5,
+                1.0,
+                probe.as_slice(),
+                planned.weight.value().as_slice(),
+                0.0,
+                &mut grad_input,
+                par,
+            );
             assert_eq!(
-                planned.weight.grad(),
-                reference.weight.grad(),
+                g.as_slice(),
+                grad_input.as_slice(),
+                "grad_input diverged at batch {batch}"
+            );
+            // The gradients were zeroed, so the accumulated value is this
+            // step's gradient exactly (0 + g == g).
+            assert_eq!(
+                planned.weight.grad().as_slice(),
+                grad_weight.as_slice(),
                 "grad_weight diverged at batch {batch}"
             );
             assert_eq!(
                 planned.bias.grad(),
-                reference.bias.grad(),
+                &probe.sum_axis0().unwrap(),
                 "grad_bias (GEMV) diverged from sum_axis0 at batch {batch}"
             );
             ctx.recycle(g);
@@ -580,7 +514,8 @@ mod tests {
         let probe = Tensor::randn(&[5, 4], 0.0, 1.0, &mut rng);
         let relu_input = Tensor::randn(&[5, 6], 0.0, 1.0, &mut rng);
         layer.cached_input = Some(x.clone());
-        let unfused = layer.backward(&probe).unwrap();
+        let mut ctx = TensorArena::new();
+        let unfused = layer.backward_into(&probe, &mut ctx).unwrap();
         let mut expected = unfused.clone();
         for (slot, &v) in expected
             .as_mut_slice()
@@ -589,7 +524,6 @@ mod tests {
         {
             *slot *= ActivationGrad::Relu.derivative(v);
         }
-        let mut ctx = TensorArena::new();
         layer.weight.zero_grad();
         layer.bias.zero_grad();
         let fused = layer
@@ -628,16 +562,23 @@ mod tests {
     fn flatten_round_trips_shapes() {
         let mut rng = StdRng::seed_from(9);
         let mut flatten = Flatten::new();
+        let mut ctx = TensorArena::new();
         let x = Tensor::zeros(&[2, 3, 4, 4]);
-        let y = flatten.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let y = flatten
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
         assert_eq!(y.dims(), &[2, 48]);
-        let grad = flatten.backward(&Tensor::ones(&[2, 48])).unwrap();
+        let grad = flatten
+            .backward_into(&Tensor::ones(&[2, 48]), &mut ctx)
+            .unwrap();
         assert_eq!(grad.dims(), &[2, 3, 4, 4]);
     }
 
     #[test]
     fn flatten_backward_requires_forward() {
         let mut flatten = Flatten::new();
-        assert!(flatten.backward(&Tensor::zeros(&[1, 4])).is_err());
+        assert!(flatten
+            .backward_into(&Tensor::zeros(&[1, 4]), &mut TensorArena::new())
+            .is_err());
     }
 }

@@ -17,14 +17,15 @@ use crate::{Layer, RunMode};
 ///
 /// ```
 /// # use std::error::Error;
-/// use mtlsplit_nn::{BatchNorm2d, Layer, RunMode};
+/// use mtlsplit_nn::{BatchNorm2d, Layer, RunMode, TensorArena};
 /// use mtlsplit_tensor::{StdRng, Tensor};
 ///
 /// # fn main() -> Result<(), Box<dyn Error>> {
 /// let mut rng = StdRng::seed_from(0);
 /// let mut bn = BatchNorm2d::new(4);
 /// let x = Tensor::randn(&[8, 4, 3, 3], 5.0, 2.0, &mut rng);
-/// let y = bn.forward(&x, RunMode::train(&mut rng))?;
+/// let mut arena = TensorArena::new();
+/// let y = bn.forward_into(&x, RunMode::train(&mut rng), &mut arena)?;
 /// // The normalised output is centred near zero.
 /// assert!(y.mean().abs() < 0.1);
 /// # Ok(())
@@ -109,8 +110,7 @@ impl BatchNorm2d {
     /// The training-mode normalisation: batch statistics per channel,
     /// running-average updates, outputs and the backward cache written into
     /// caller buffers (fully overwritten, so recycled arena buffers are
-    /// safe). Shared by the allocating and planned forward paths, so their
-    /// bit-identity is structural.
+    /// safe).
     fn write_train(
         &mut self,
         src: &[f32],
@@ -156,7 +156,7 @@ impl BatchNorm2d {
     }
 
     /// The backward gradients written into caller buffers (fully
-    /// overwritten). Shared by the allocating and planned backward paths.
+    /// overwritten).
     #[allow(clippy::too_many_arguments)]
     fn write_backward(
         &self,
@@ -231,31 +231,6 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if !mode.is_train() {
-            return self.infer(input);
-        }
-        let (batch, height, width) = self.check_input(input)?;
-        let plane = height * width;
-        let mut out = vec![0.0f32; input.len()];
-        let mut normalized = vec![0.0f32; input.len()];
-        let mut std_inv = vec![0.0f32; self.channels];
-        self.write_train(
-            input.as_slice(),
-            &mut out,
-            &mut normalized,
-            &mut std_inv,
-            batch,
-            plane,
-        );
-        self.cache = Some(NormCache {
-            normalized: Tensor::from_vec(normalized, input.dims())?,
-            std_inv,
-            input_dims: input.shape().clone(),
-        });
-        Ok(Tensor::from_vec(out, input.dims())?)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -292,13 +267,6 @@ impl Layer for BatchNorm2d {
         Ok(Tensor::from_vec(out, input.dims())?)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let (batch, height, width) = self.check_input(input)?;
-        let mut out = vec![0.0f32; input.len()];
-        self.write_infer(input.as_slice(), &mut out, batch, height * width);
-        Ok(Tensor::from_vec(out, input.dims())?)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         let (batch, height, width) = self.check_input(input)?;
         let mut out = ctx.take(input.len());
@@ -311,35 +279,6 @@ impl Layer for BatchNorm2d {
         // convolution absorbing this layer changes no bits — it only skips
         // the separate feature-map pass.
         Some(self.channel_norm())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self.cache.as_ref().ok_or(NnError::MissingForwardCache {
-            layer: "BatchNorm2d",
-        })?;
-        self.check_grad_output(grad_output, cache)?;
-        let dims = cache.input_dims.dims();
-        let (batch, height, width) = (dims[0], dims[2], dims[3]);
-        let plane = height * width;
-        let mut grad_input = vec![0.0f32; grad_output.len()];
-        let mut grad_gamma = vec![0.0f32; self.channels];
-        let mut grad_beta = vec![0.0f32; self.channels];
-        self.write_backward(
-            grad_output.as_slice(),
-            cache.normalized.as_slice(),
-            &cache.std_inv,
-            &mut grad_input,
-            &mut grad_gamma,
-            &mut grad_beta,
-            batch,
-            plane,
-        );
-        let grad_input = Tensor::from_vec(grad_input, dims)?;
-        self.gamma
-            .accumulate_grad(&Tensor::from_vec(grad_gamma, &[self.channels])?)?;
-        self.beta
-            .accumulate_grad(&Tensor::from_vec(grad_beta, &[self.channels])?)?;
-        Ok(grad_input)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -401,7 +340,9 @@ mod tests {
         let mut rng = StdRng::seed_from(1);
         let mut bn = BatchNorm2d::new(3);
         let x = Tensor::randn(&[16, 3, 4, 4], 10.0, 3.0, &mut rng);
-        let y = bn.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let y = bn
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         // Per-channel mean ~0 and variance ~1 after normalisation.
         let plane = 16 * 16;
         for c in 0..3 {
@@ -426,7 +367,8 @@ mod tests {
         // Train on data with mean 4 so the running mean moves towards 4.
         for _ in 0..200 {
             let x = Tensor::randn(&[8, 2, 2, 2], 4.0, 1.0, &mut rng);
-            bn.forward(&x, RunMode::train(&mut rng)).unwrap();
+            bn.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+                .unwrap();
         }
         assert!((bn.running_mean()[0] - 4.0).abs() < 0.5);
         // At inference, a constant input equal to the running mean maps near beta (0).
@@ -440,13 +382,15 @@ mod tests {
         let mut rng = StdRng::seed_from(7);
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::randn(&[4, 2, 3, 3], 2.0, 1.0, &mut rng);
-        bn.forward(&x, RunMode::train(&mut rng)).unwrap();
+        bn.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         let mean_before = bn.running_mean().to_vec();
         let var_before = bn.running_var().to_vec();
         // Inference through &self cannot mutate, and an infer-mode forward
         // through &mut self must not either.
         bn.infer(&x).unwrap();
-        bn.forward(&x, RunMode::Infer).unwrap();
+        bn.forward_into(&x, RunMode::Infer, &mut TensorArena::new())
+            .unwrap();
         assert_eq!(bn.running_mean(), mean_before.as_slice());
         assert_eq!(bn.running_var(), var_before.as_slice());
     }
@@ -457,12 +401,13 @@ mod tests {
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::randn(&[4, 2, 3, 3], 1.0, 2.0, &mut rng);
         let probe = Tensor::randn(x.dims(), 0.0, 1.0, &mut rng);
-        bn.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = bn.backward(&probe).unwrap();
+        bn.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        let grad = bn.backward_into(&probe, &mut TensorArena::new()).unwrap();
         let eps = 1e-2;
         let mut loss_rng = StdRng::seed_from(30);
         let mut loss = |bn: &mut BatchNorm2d, x: &Tensor| {
-            bn.forward(x, RunMode::train(&mut loss_rng))
+            bn.forward_into(x, RunMode::train(&mut loss_rng), &mut TensorArena::new())
                 .unwrap()
                 .mul(&probe)
                 .unwrap()
@@ -487,8 +432,10 @@ mod tests {
         let mut rng = StdRng::seed_from(4);
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.0, &mut rng);
-        bn.forward(&x, RunMode::train(&mut rng)).unwrap();
-        bn.backward(&Tensor::ones(x.dims())).unwrap();
+        bn.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        bn.backward_into(&Tensor::ones(x.dims()), &mut TensorArena::new())
+            .unwrap();
         // Beta gradient is the sum of the output gradient per channel.
         assert_eq!(bn.parameters()[1].grad().as_slice(), &[8.0, 8.0]);
     }
@@ -503,6 +450,8 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut bn = BatchNorm2d::new(1);
-        assert!(bn.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        assert!(bn
+            .backward_into(&Tensor::zeros(&[1, 1, 2, 2]), &mut TensorArena::new())
+            .is_err());
     }
 }

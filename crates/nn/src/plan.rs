@@ -1,4 +1,4 @@
-//! The planned, zero-allocation inference runtime.
+//! The planned, zero-allocation inference and training runtimes.
 //!
 //! An [`InferPlan`] pairs a frozen layer stack with a reusable
 //! [`TensorArena`]: the first request through [`InferPlan::run`] sizes every
@@ -9,10 +9,10 @@
 //! warm-up explicitly, so even the first production request is
 //! allocation-free.
 //!
-//! The plan never changes results: the planned path reuses buffers and fuses
-//! GEMM epilogues, both of which are bit-identical to the allocating
-//! [`Layer::infer`] path for every thread count (property-tested at the
-//! workspace level).
+//! The plan never changes results: it only decides which arena the layers'
+//! single implementation draws from. Buffer reuse and fused epilogues are
+//! bit-identical to running the layers one at a time on fresh arenas, for
+//! every thread count (property-tested at the workspace level).
 
 use mtlsplit_obs as obs;
 use mtlsplit_tensor::{Tensor, TensorArena};
@@ -23,6 +23,12 @@ use crate::{Layer, RunMode};
 /// The leading dimension of a tensor, for span dims (0 for scalars).
 fn batch_dim(t: &Tensor) -> u32 {
     t.dims().first().copied().unwrap_or(0) as u32
+}
+
+/// The plan-level span an inference pass runs under, so the per-layer
+/// profile counts its layer spans as inference.
+pub(crate) fn infer_span(input: &Tensor) -> obs::Span {
+    obs::span_dims("infer", obs::SpanKind::Plan, [batch_dim(input), 0, 0, 0])
 }
 
 /// A per-caller inference plan: one reusable arena plus the take/recycle
@@ -49,7 +55,7 @@ fn batch_dim(t: &Tensor) -> u32 {
 /// let x = Tensor::randn(&[2, 8], 0.0, 1.0, &mut rng);
 /// plan.prepare(&net, &x)?; // warm-up: sizes and pools every buffer
 /// let y = plan.run(&net, &x)?; // steady state: zero heap allocations
-/// assert_eq!(y, net.infer(&x)?); // bit-identical to the allocating path
+/// assert_eq!(y, net.infer(&x)?); // bit-identical to a one-off call
 /// plan.recycle(y); // hand the output buffer back for the next request
 /// # Ok(())
 /// # }
@@ -78,7 +84,7 @@ impl InferPlan {
     ///
     /// Returns an error if the input is incompatible with the layer.
     pub fn run(&mut self, layer: &dyn Layer, input: &Tensor) -> Result<Tensor> {
-        let _span = obs::span_dims("infer", obs::SpanKind::Plan, [batch_dim(input), 0, 0, 0]);
+        let _span = infer_span(input);
         layer.infer_into(input, &mut self.arena)
     }
 
@@ -126,10 +132,10 @@ impl InferPlan {
 /// into the same arena, which is what makes the reuse cross-step rather
 /// than merely intra-step.
 ///
-/// The plan never changes results: the planned training step is
+/// The plan never changes results: a planned training step is
 /// bit-identical (0 ULP, parameter-for-parameter over a whole run) to the
-/// allocating [`Layer::forward`] / [`Layer::backward`] path for every
-/// thread count (property-tested at the workspace level).
+/// same layers stepped one at a time on fresh arenas, for every thread
+/// count (property-tested at the workspace level).
 ///
 /// # Example
 ///
@@ -229,22 +235,38 @@ mod tests {
     use crate::{Linear, Relu, Sequential};
     use mtlsplit_tensor::StdRng;
 
-    fn mlp(seed: u64) -> Sequential {
+    fn mlp_layers(seed: u64) -> Vec<Box<dyn Layer>> {
         let mut rng = StdRng::seed_from(seed);
-        Sequential::new()
-            .push(Linear::new(6, 12, &mut rng))
-            .push(Relu::new())
-            .push(Linear::new(12, 3, &mut rng))
+        vec![
+            Box::new(Linear::new(6, 12, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Linear::new(12, 3, &mut rng)),
+        ]
+    }
+
+    fn mlp(seed: u64) -> Sequential {
+        let mut net = Sequential::new();
+        for layer in mlp_layers(seed) {
+            net.push_boxed(layer);
+        }
+        net
     }
 
     #[test]
     fn planned_run_matches_allocating_infer() {
+        // The plan (one reused arena, fused Linear→Relu) against the same
+        // layers called one at a time, each on a fresh arena.
         let net = mlp(1);
+        let unfused = mlp_layers(1);
         let mut plan = InferPlan::new();
         let mut rng = StdRng::seed_from(2);
         for _ in 0..4 {
             let x = Tensor::randn(&[3, 6], 0.0, 1.0, &mut rng);
             let planned = plan.run(&net, &x).unwrap();
+            let expected = unfused
+                .iter()
+                .fold(x.clone(), |current, layer| layer.infer(&current).unwrap());
+            assert_eq!(planned, expected);
             assert_eq!(planned, net.infer(&x).unwrap());
             plan.recycle(planned);
         }
@@ -271,11 +293,12 @@ mod tests {
 
     #[test]
     fn planned_training_steps_match_allocating_path_and_stop_allocating() {
-        // Two identical nets, two identical RNG streams: one stepped through
-        // the allocating forward/backward, one through the TrainPlan. The
-        // outputs, gradients, and accumulated parameter gradients must stay
-        // `==`; after the warm-up step the plan must take no fresh memory.
-        let mut reference = mlp(11);
+        // The same weights and RNG streams twice: once as separate layers
+        // stepped one at a time on fresh arenas (no mask fusion, no buffer
+        // reuse), once as a Sequential through the TrainPlan. Outputs,
+        // gradients, and accumulated parameter gradients must stay `==`;
+        // after the warm-up step the plan must take no fresh memory.
+        let mut reference = mlp_layers(11);
         let mut planned = mlp(11);
         let mut ref_rng = StdRng::seed_from(12);
         let mut plan_rng = StdRng::seed_from(12);
@@ -284,20 +307,33 @@ mod tests {
         let mut warmed = None;
         for step in 0..6 {
             let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut data_rng);
-            let y_ref = reference
-                .forward(&x, crate::RunMode::train(&mut ref_rng))
-                .unwrap();
-            let g_ref = reference.backward(&Tensor::ones(y_ref.dims())).unwrap();
+            let mut y_ref = x.clone();
+            for layer in reference.iter_mut() {
+                y_ref = layer
+                    .forward_into(
+                        &y_ref,
+                        RunMode::train(&mut ref_rng),
+                        &mut TensorArena::new(),
+                    )
+                    .unwrap();
+            }
+            let mut g_ref = Tensor::ones(y_ref.dims());
+            for layer in reference.iter_mut().rev() {
+                g_ref = layer
+                    .backward_into(&g_ref, &mut TensorArena::new())
+                    .unwrap();
+            }
 
             let y = plan
-                .forward(&mut planned, &x, crate::RunMode::train(&mut plan_rng))
+                .forward(&mut planned, &x, RunMode::train(&mut plan_rng))
                 .unwrap();
             assert_eq!(y, y_ref, "step {step}: planned forward diverged");
             let g = plan
                 .backward(&mut planned, &Tensor::ones(y.dims()))
                 .unwrap();
             assert_eq!(g, g_ref, "step {step}: planned backward diverged");
-            for (a, b) in planned.parameters().iter().zip(reference.parameters()) {
+            let reference_params = reference.iter().flat_map(|layer| layer.parameters());
+            for (a, b) in planned.parameters().into_iter().zip(reference_params) {
                 assert_eq!(a.grad(), b.grad(), "step {step}: parameter grads diverged");
             }
             plan.recycle(y);

@@ -1,10 +1,9 @@
 //! Pooling layers wrapping the tensor-level pooling kernels.
 
 use mtlsplit_tensor::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, global_avg_pool2d,
-    global_avg_pool2d_into, max_pool2d, max_pool2d_backward, max_pool2d_backward_into,
-    max_pool2d_infer, max_pool2d_infer_into, max_pool2d_train_into, pooled_dims, Shape, Tensor,
-    TensorArena,
+    avg_pool2d_backward_into, avg_pool2d_into, global_avg_pool2d_into, max_pool2d_backward_into,
+    max_pool2d_infer_into, max_pool2d_train_into, pooled_dims, Shape, Tensor, TensorArena,
+    TensorError,
 };
 
 use crate::error::{NnError, Result};
@@ -33,16 +32,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if !mode.is_train() {
-            // No backward will follow: skip the argmax-index bookkeeping.
-            return self.infer(input);
-        }
-        let (out, indices) = max_pool2d(input, self.window, self.stride)?;
-        self.cache = Some((indices, input.shape().clone()));
-        Ok(out)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -65,24 +54,11 @@ impl Layer for MaxPool2d {
         Ok(Tensor::from_vec(out, &dims)?)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        // Index-free kernel: the argmax indices exist only for backward.
-        Ok(max_pool2d_infer(input, self.window, self.stride)?)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         let dims = pooled_dims(input, self.window, self.stride, "max_pool2d")?;
         let mut out = ctx.take(dims.iter().product());
         max_pool2d_infer_into(input, self.window, self.stride, &mut out)?;
         Ok(Tensor::from_vec(out, &dims)?)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let (indices, dims) = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "MaxPool2d" })?;
-        Ok(max_pool2d_backward(grad_output, indices, dims.dims())?)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -128,13 +104,6 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cached_dims = Some(input.shape().clone());
-        }
-        self.infer(input)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -147,28 +116,11 @@ impl Layer for AvgPool2d {
         self.infer_into(input, ctx)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(avg_pool2d(input, self.window, self.stride)?)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         let dims = pooled_dims(input, self.window, self.stride, "avg_pool2d")?;
         let mut out = ctx.take(dims.iter().product());
         avg_pool2d_into(input, self.window, self.stride, &mut out)?;
         Ok(Tensor::from_vec(out, &dims)?)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "AvgPool2d" })?;
-        Ok(avg_pool2d_backward(
-            grad_output,
-            dims.dims(),
-            self.window,
-            self.stride,
-        )?)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -245,13 +197,6 @@ impl GlobalAvgPool2d {
 }
 
 impl Layer for GlobalAvgPool2d {
-    fn forward(&mut self, input: &Tensor, mode: RunMode<'_>) -> Result<Tensor> {
-        if mode.is_train() {
-            self.cached_dims = Some(input.shape().clone());
-        }
-        self.infer(input)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -264,30 +209,19 @@ impl Layer for GlobalAvgPool2d {
         self.infer_into(input, ctx)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(global_avg_pool2d(input)?)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
         if input.rank() != 4 {
-            return self.infer(input); // canonical error path
+            // The pooling kernel's canonical rank error.
+            return Err(TensorError::RankMismatch {
+                op: "global_avg_pool2d",
+                expected: 4,
+                actual: input.rank(),
+            }
+            .into());
         }
         let mut out = ctx.take(input.dims()[0] * input.dims()[1]);
         let dims = global_avg_pool2d_into(input, &mut out)?;
         Ok(Tensor::from_vec(out, &dims)?)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache {
-                layer: "GlobalAvgPool2d",
-            })?
-            .clone();
-        let mut grad_input = Tensor::zeros(dims.dims());
-        self.write_backward(grad_output, dims.dims(), grad_input.as_mut_slice())?;
-        Ok(grad_input)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
@@ -326,11 +260,15 @@ mod tests {
         let mut rng = StdRng::seed_from(10);
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let y = pool.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let y = pool
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         // The &self path produces the same pooled values.
         assert_eq!(pool.infer(&x).unwrap(), y);
-        let grad = pool.backward(&Tensor::ones(y.dims())).unwrap();
+        let grad = pool
+            .backward_into(&Tensor::ones(y.dims()), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(grad.dims(), x.dims());
         assert_eq!(grad.sum(), 4.0);
     }
@@ -340,8 +278,11 @@ mod tests {
         let mut rng = StdRng::seed_from(11);
         let mut pool = AvgPool2d::new(2, 2);
         let x = Tensor::ones(&[1, 1, 4, 4]);
-        pool.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = pool.backward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
+        pool.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        let grad = pool
+            .backward_into(&Tensor::ones(&[1, 1, 2, 2]), &mut TensorArena::new())
+            .unwrap();
         assert!(grad.as_slice().iter().all(|&v| (v - 0.25).abs() < 1e-6));
     }
 
@@ -350,9 +291,13 @@ mod tests {
         let mut rng = StdRng::seed_from(1);
         let mut pool = GlobalAvgPool2d::new();
         let x = Tensor::randn(&[2, 3, 4, 4], 0.0, 1.0, &mut rng);
-        let y = pool.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let y = pool
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(y.dims(), &[2, 3]);
-        let grad = pool.backward(&Tensor::ones(&[2, 3])).unwrap();
+        let grad = pool
+            .backward_into(&Tensor::ones(&[2, 3]), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(grad.dims(), &[2, 3, 4, 4]);
         // Gradient of the mean spreads 1/16 to each spatial location.
         assert!((grad.at(&[0, 0, 0, 0]).unwrap() - 1.0 / 16.0).abs() < 1e-6);
@@ -364,8 +309,9 @@ mod tests {
         let mut pool = GlobalAvgPool2d::new();
         let x = Tensor::randn(&[1, 2, 3, 3], 0.0, 1.0, &mut rng);
         let probe = Tensor::randn(&[1, 2], 0.0, 1.0, &mut rng);
-        pool.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = pool.backward(&probe).unwrap();
+        pool.forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
+        let grad = pool.backward_into(&probe, &mut TensorArena::new()).unwrap();
         let eps = 1e-2;
         for idx in [0usize, 9, 17] {
             let mut plus = x.clone();
@@ -382,13 +328,13 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         assert!(MaxPool2d::new(2, 2)
-            .backward(&Tensor::zeros(&[1, 1, 2, 2]))
+            .backward_into(&Tensor::zeros(&[1, 1, 2, 2]), &mut TensorArena::new())
             .is_err());
         assert!(AvgPool2d::new(2, 2)
-            .backward(&Tensor::zeros(&[1, 1, 2, 2]))
+            .backward_into(&Tensor::zeros(&[1, 1, 2, 2]), &mut TensorArena::new())
             .is_err());
         assert!(GlobalAvgPool2d::new()
-            .backward(&Tensor::zeros(&[1, 2]))
+            .backward_into(&Tensor::zeros(&[1, 2]), &mut TensorArena::new())
             .is_err());
     }
 

@@ -72,12 +72,11 @@ impl Sequential {
     /// and the returned stack owns layers `[index, len)`.
     ///
     /// Running the two halves back to back is bit-identical to running the
-    /// original stack on the allocating [`Layer::infer`] path, and on the
-    /// planned [`Layer::infer_into`] path whenever `index` does not land
-    /// inside a fusion window — fused epilogues are themselves bit-identical
-    /// to their unfused layer chains, so in practice any cut point preserves
-    /// outputs exactly. This is the substrate for variable-depth deployment
-    /// splits: an edge prefix and a server tail cut at a stage boundary.
+    /// original stack: a cut that lands inside a fusion window only unfuses
+    /// that window, and fused epilogues are bit-identical to their unfused
+    /// layer chains, so every cut point preserves outputs exactly. This is
+    /// the substrate for variable-depth deployment splits: an edge prefix
+    /// and a server tail cut at a stage boundary.
     ///
     /// # Panics
     ///
@@ -113,8 +112,8 @@ impl Sequential {
         }
     }
 
-    /// The planned backward pass with the *input* gradient discarded: every
-    /// layer backpropagates normally (parameter gradients bit-identical to
+    /// The backward pass with the *input* gradient discarded: every layer
+    /// backpropagates normally (parameter gradients bit-identical to
     /// [`Layer::backward_into`]), but the first layer skips producing the
     /// gradient with respect to the network input when it supports
     /// [`Layer::backward_into_params_only`] — the right call when the input
@@ -135,7 +134,7 @@ impl Sequential {
         Ok(())
     }
 
-    /// The shared planned backward loop; with `discard_input` the first
+    /// The shared backward loop; with `discard_input` the first
     /// layer may take its params-only path, in which case no input gradient
     /// is returned.
     fn run_backward_into(
@@ -206,14 +205,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mut mode: RunMode<'_>) -> Result<Tensor> {
-        let mut current = input.clone();
-        for layer in &mut self.layers {
-            current = layer.forward(&current, mode.reborrow())?;
-        }
-        Ok(current)
-    }
-
     fn forward_into(
         &mut self,
         input: &Tensor,
@@ -221,13 +212,13 @@ impl Layer for Sequential {
         ctx: &mut TensorArena,
     ) -> Result<Tensor> {
         if !mode.is_train() {
-            // Inference goes through the fusing planned path.
+            // Inference goes through the fusing path.
             return self.infer_into(input, ctx);
         }
         // Train mode: no forward fusion (batch norm needs batch statistics,
         // every layer needs its backward cache), but every intermediate
-        // comes from — and returns to — the arena. Layer order, and with it
-        // the RNG draw order of stochastic layers, matches `forward`.
+        // comes from — and returns to — the arena. Layers run in order, so
+        // stochastic layers draw from the RNG in stack order.
         let mut current: Option<Tensor> = None;
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let source = current.as_ref().unwrap_or(input);
@@ -250,21 +241,12 @@ impl Layer for Sequential {
         }
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let mut current = input.clone();
-        for layer in &self.layers {
-            current = layer.infer(&current)?;
-        }
-        Ok(current)
-    }
-
     fn infer_into(&self, input: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
-        // The planned pass: every intermediate comes from (and returns to)
-        // the arena, and adjacent fusable layers collapse into one kernel —
-        // conv → batch-norm → activation becomes a single write-back, and a
-        // GEMM layer followed by an activation absorbs it into its
-        // epilogue. All of it is bit-identical to the allocating `infer`
-        // chain above.
+        // Every intermediate comes from (and returns to) the arena, and
+        // adjacent fusable layers collapse into one kernel — conv →
+        // batch-norm → activation becomes a single write-back, and a GEMM
+        // layer followed by an activation absorbs it into its epilogue. All
+        // of it is bit-identical to running the layers one at a time.
         let mut current: Option<Tensor> = None;
         let mut index = 0;
         while index < self.layers.len() {
@@ -326,21 +308,13 @@ impl Layer for Sequential {
         }
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut current = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            current = layer.backward(&current)?;
-        }
-        Ok(current)
-    }
-
     fn backward_into(&mut self, grad_output: &Tensor, ctx: &mut TensorArena) -> Result<Tensor> {
-        // The planned backward pass: every intermediate gradient comes from
-        // (and returns to) the arena, and a GEMM-backed layer preceded (in
-        // forward order) by a fusable activation absorbs the activation's
-        // gradient mask into its input-gradient kernel — e.g. Linear → ReLU
-        // backpropagates as one masked GEMM. Bit-identical to the
-        // allocating `backward` chain above.
+        // Every intermediate gradient comes from (and returns to) the arena,
+        // and a GEMM-backed layer preceded (in forward order) by a fusable
+        // activation absorbs the activation's gradient mask into its
+        // input-gradient kernel — e.g. Linear → ReLU backpropagates as one
+        // masked GEMM. Bit-identical to running the layers' backward passes
+        // one at a time.
         Ok(self
             .run_backward_into(grad_output, ctx, false)?
             .expect("non-discarding backward always yields a gradient"))
@@ -383,14 +357,50 @@ mod tests {
             .push(Linear::new(8, 2, &mut rng))
     }
 
+    /// The unfused chain: every layer's inference pass on its own, each call
+    /// on a fresh arena — no fusion window, no buffer reuse.
+    fn unfused_infer(net: &Sequential, x: &Tensor) -> Tensor {
+        net.layers
+            .iter()
+            .fold(x.clone(), |current, layer| layer.infer(&current).unwrap())
+    }
+
+    /// The unfused train-mode forward, one layer and one fresh arena per call.
+    fn unfused_forward(net: &mut Sequential, x: &Tensor, rng: &mut StdRng) -> Tensor {
+        let mut current = x.clone();
+        for layer in &mut net.layers {
+            current = layer
+                .forward_into(&current, RunMode::train(rng), &mut TensorArena::new())
+                .unwrap();
+        }
+        current
+    }
+
+    /// The unfused backward: every layer's own backward pass in reverse
+    /// order, no gradient mask absorbed into a neighbour.
+    fn unfused_backward(net: &mut Sequential, grad: &Tensor) -> Tensor {
+        let mut current = grad.clone();
+        for layer in net.layers.iter_mut().rev() {
+            current = layer
+                .backward_into(&current, &mut TensorArena::new())
+                .unwrap();
+        }
+        current
+    }
+
     #[test]
     fn empty_sequential_is_identity() {
         let mut seq = Sequential::new();
         let mut rng = StdRng::seed_from(0);
+        let mut ctx = TensorArena::new();
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
-        assert_eq!(seq.forward(&x, RunMode::train(&mut rng)).unwrap(), x);
+        assert_eq!(
+            seq.forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+                .unwrap(),
+            x
+        );
         assert_eq!(seq.infer(&x).unwrap(), x);
-        assert_eq!(seq.backward(&x).unwrap(), x);
+        assert_eq!(seq.backward_into(&x, &mut ctx).unwrap(), x);
         assert!(seq.is_empty());
     }
 
@@ -408,7 +418,9 @@ mod tests {
         let mut seq = tiny_mlp(9);
         let mut rng = StdRng::seed_from(10);
         let x = Tensor::randn(&[4, 3], 0.0, 1.0, &mut rng);
-        let trained = seq.forward(&x, RunMode::train(&mut rng)).unwrap();
+        let trained = seq
+            .forward_into(&x, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         assert_eq!(seq.infer(&x).unwrap(), trained);
     }
 
@@ -416,9 +428,14 @@ mod tests {
     fn backward_produces_input_shaped_gradient() {
         let mut seq = tiny_mlp(2);
         let mut rng = StdRng::seed_from(3);
+        let mut ctx = TensorArena::new();
         let x = Tensor::randn(&[4, 3], 0.0, 1.0, &mut rng);
-        let y = seq.forward(&x, RunMode::train(&mut rng)).unwrap();
-        let grad = seq.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = seq
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        let grad = seq
+            .backward_into(&Tensor::ones(y.dims()), &mut ctx)
+            .unwrap();
         assert_eq!(grad.dims(), x.dims());
     }
 
@@ -432,9 +449,13 @@ mod tests {
     fn zero_grad_clears_all_gradients() {
         let mut seq = tiny_mlp(5);
         let mut rng = StdRng::seed_from(6);
+        let mut ctx = TensorArena::new();
         let x = Tensor::randn(&[2, 3], 0.0, 1.0, &mut rng);
-        let y = seq.forward(&x, RunMode::train(&mut rng)).unwrap();
-        seq.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = seq
+            .forward_into(&x, RunMode::train(&mut rng), &mut ctx)
+            .unwrap();
+        seq.backward_into(&Tensor::ones(y.dims()), &mut ctx)
+            .unwrap();
         assert!(seq
             .parameters()
             .iter()
@@ -460,8 +481,8 @@ mod tests {
         use crate::activation::Sigmoid;
         use crate::InferPlan;
         // Linear→Relu and Linear→Sigmoid both fuse into the GEMM epilogue;
-        // the trailing lone Relu runs unfused. All must match `infer`
-        // bit-for-bit.
+        // the trailing lone Relu runs unfused. All must match the unfused
+        // layer-at-a-time chain bit-for-bit.
         let mut rng = StdRng::seed_from(31);
         let net = Sequential::new()
             .push(Linear::new(5, 9, &mut rng))
@@ -473,7 +494,7 @@ mod tests {
         for batch in [1usize, 4, 2] {
             let x = Tensor::randn(&[batch, 5], 0.0, 1.5, &mut rng);
             let planned = plan.run(&net, &x).unwrap();
-            assert_eq!(planned, net.infer(&x).unwrap());
+            assert_eq!(planned, unfused_infer(&net, &x));
             plan.recycle(planned);
         }
     }
@@ -486,8 +507,8 @@ mod tests {
         // conv → BN → hard-swish (the MobileNet motif) collapses into one
         // fused write-back on the planned path, for both the dense GEMM
         // and the depthwise (single-row GEMV) kernels; outputs must still
-        // match `infer` bit-for-bit. Train-mode forwards first so the
-        // running statistics are non-trivial.
+        // match the unfused chain bit-for-bit. A train-mode forward first
+        // makes the running statistics non-trivial.
         let mut rng = StdRng::seed_from(41);
         let mut net = Sequential::new()
             .push(Conv2d::new(3, 6, 3, 1, 1, &mut rng))
@@ -496,12 +517,13 @@ mod tests {
             .push(DepthwiseConv2d::new(6, 3, 1, 1, &mut rng))
             .push(BatchNorm2d::new(6));
         let warm = Tensor::randn(&[4, 3, 8, 8], 0.3, 1.2, &mut rng);
-        net.forward(&warm, RunMode::train(&mut rng)).unwrap();
+        net.forward_into(&warm, RunMode::train(&mut rng), &mut TensorArena::new())
+            .unwrap();
         let mut plan = InferPlan::new();
         for batch in [2usize, 1, 3] {
             let x = Tensor::randn(&[batch, 3, 8, 8], 0.0, 1.0, &mut rng);
             let planned = plan.run(&net, &x).unwrap();
-            assert_eq!(planned, net.infer(&x).unwrap());
+            assert_eq!(planned, unfused_infer(&net, &x));
             plan.recycle(planned);
         }
     }
@@ -513,8 +535,8 @@ mod tests {
         // Linear→ReLU→Linear→Sigmoid→Linear→HardSwish: on the planned
         // backward pass each Linear preceded by an activation absorbs the
         // activation's gradient mask into its grad-input GEMM. Outputs,
-        // input gradients and parameter gradients must equal the allocating
-        // chain bitwise, across repeated plan reuse.
+        // input gradients and parameter gradients must equal the unfused
+        // layer-at-a-time chain bitwise, across repeated plan reuse.
         let build = |seed: u64| {
             let mut rng = StdRng::seed_from(seed);
             Sequential::new()
@@ -534,8 +556,8 @@ mod tests {
         for step in 0..4 {
             let x = Tensor::randn(&[3, 5], 0.0, 1.0, &mut data_rng);
             let probe = Tensor::randn(&[3, 4], 0.0, 1.0, &mut data_rng);
-            let y_ref = reference.forward(&x, RunMode::train(&mut ref_rng)).unwrap();
-            let g_ref = reference.backward(&probe).unwrap();
+            let y_ref = unfused_forward(&mut reference, &x, &mut ref_rng);
+            let g_ref = unfused_backward(&mut reference, &probe);
             let y = plan
                 .forward(&mut planned, &x, RunMode::train(&mut plan_rng))
                 .unwrap();
@@ -566,15 +588,16 @@ mod tests {
         let x = Tensor::randn(&[3, 3], 0.0, 1.0, &mut rng);
         for cut in 0..=3 {
             let reference = tiny_mlp(12);
-            let expected = reference.infer(&x).unwrap();
+            let expected = unfused_infer(&reference, &x);
+            assert_eq!(reference.infer(&x).unwrap(), expected, "whole stack");
             let mut prefix = tiny_mlp(12);
             let suffix = prefix.split_off(cut);
             assert_eq!(prefix.len(), cut);
             assert_eq!(suffix.len(), 3 - cut);
-            // Allocating path.
+            // One fresh arena per half.
             let mid = prefix.infer(&x).unwrap();
             assert_eq!(suffix.infer(&mid).unwrap(), expected, "cut {cut}");
-            // Planned path, including across the cut.
+            // One plan across the cut.
             let mut plan = InferPlan::new();
             let mid = plan.run(&prefix, &x).unwrap();
             let out = plan.run(&suffix, &mid).unwrap();
@@ -592,7 +615,11 @@ mod tests {
             .push(inner)
             .push(Linear::new(4, 2, &mut rng));
         let y = outer
-            .forward(&Tensor::zeros(&[1, 3]), RunMode::train(&mut rng))
+            .forward_into(
+                &Tensor::zeros(&[1, 3]),
+                RunMode::train(&mut rng),
+                &mut TensorArena::new(),
+            )
             .unwrap();
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(outer.parameter_count(), 3 * 4 + 4 + 4 * 2 + 2);

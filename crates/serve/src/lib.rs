@@ -24,7 +24,7 @@
 //!   tests and benches hermetic and deterministic.
 //! * [`InferenceServer`] — frozen task heads held in an `Arc` and shared by
 //!   [`ServerConfig::workers`] worker threads, each running the immutable
-//!   `Layer::infer` path; a bounded queue with adaptive micro-batching
+//!   `Layer::infer_into` path on its own plan; a bounded queue with adaptive micro-batching
 //!   feeds them, plus [`ServeMetrics`] (throughput, p50/p95/p99 latency,
 //!   wire bytes). A worker panic mid-batch answers that batch with typed
 //!   `Internal` errors and leaves the worker serving.

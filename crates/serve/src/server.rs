@@ -4,7 +4,7 @@
 //!
 //! An [`InferenceServer`] holds the task heads in an `Arc` — they are frozen
 //! at [`InferenceServer::start`] and only ever run through the immutable
-//! [`Layer::infer`] path, so [`ServerConfig::workers`] threads serve from
+//! [`Layer::infer_into`] path (one `InferPlan` per worker), so [`ServerConfig::workers`] threads serve from
 //! the *same* head instances with no copies and no locks around the model.
 //! Requests enter through one bounded queue (backpressure: submitters block
 //! when it is full); whichever worker is idle steals the next request off
@@ -124,7 +124,7 @@ pub struct ServerConfig {
     /// Number of worker threads serving the shared heads concurrently.
     ///
     /// Every worker runs the same `Arc`-shared frozen heads through
-    /// [`Layer::infer`], so outputs are identical whatever the worker count;
+    /// [`Layer::infer_into`], so outputs are identical whatever the worker count;
     /// more workers only add throughput on multi-core hosts. Defaults to
     /// [`ServerConfig::default_workers`] — one worker per available core,
     /// clamped to [`MAX_DEFAULT_WORKERS`].
@@ -308,7 +308,7 @@ impl InferenceServer {
     ///
     /// The heads are frozen into an `Arc` shared by
     /// [`ServerConfig::workers`] worker threads; they run exclusively
-    /// through the immutable [`Layer::infer`] path.
+    /// through the immutable [`Layer::infer_into`] path.
     ///
     /// # Panics
     ///
@@ -1223,21 +1223,30 @@ mod tests {
     struct PoisonHead(Linear);
 
     impl Layer for PoisonHead {
-        fn forward(
+        fn infer_into(
+            &self,
+            input: &Tensor,
+            ctx: &mut mtlsplit_nn::TensorArena,
+        ) -> mtlsplit_nn::Result<Tensor> {
+            assert!(!input.as_slice().contains(&POISON), "poisoned input");
+            self.0.infer_into(input, ctx)
+        }
+
+        fn forward_into(
             &mut self,
             input: &Tensor,
             mode: mtlsplit_nn::RunMode<'_>,
+            ctx: &mut mtlsplit_nn::TensorArena,
         ) -> mtlsplit_nn::Result<Tensor> {
-            self.0.forward(input, mode)
+            self.0.forward_into(input, mode, ctx)
         }
 
-        fn infer(&self, input: &Tensor) -> mtlsplit_nn::Result<Tensor> {
-            assert!(!input.as_slice().contains(&POISON), "poisoned input");
-            self.0.infer(input)
-        }
-
-        fn backward(&mut self, grad_output: &Tensor) -> mtlsplit_nn::Result<Tensor> {
-            self.0.backward(grad_output)
+        fn backward_into(
+            &mut self,
+            grad_output: &Tensor,
+            ctx: &mut mtlsplit_nn::TensorArena,
+        ) -> mtlsplit_nn::Result<Tensor> {
+            self.0.backward_into(grad_output, ctx)
         }
 
         fn parameters_mut(&mut self) -> Vec<&mut mtlsplit_nn::Parameter> {

@@ -1,12 +1,13 @@
 //! A reusable buffer arena for zero-allocation steady-state inference.
 //!
-//! Every inference request through the allocating [`Layer::infer`] path of
-//! `mtlsplit-nn` heap-allocates one output buffer per layer and frees it one
-//! layer later. [`TensorArena`] breaks that cycle: it keeps the backing
-//! `Vec<f32>` of every finished intermediate and hands it back out for the
-//! next one that fits, so after a warm-up request a whole forward pass is
-//! served entirely from recycled memory — **zero allocations per request**
-//! in steady state (asserted by `benches/inference.rs` in quick mode).
+//! A layer pass that took every output from the heap would allocate one
+//! buffer per layer and free it one layer later. [`TensorArena`] breaks that
+//! cycle: every layer pass in `mtlsplit-nn` draws from one, and it keeps
+//! the backing `Vec<f32>` of every finished intermediate and hands it back
+//! out for the next one that fits, so after a warm-up request a whole
+//! forward pass is served entirely from recycled memory — **zero
+//! allocations per request** in steady state (asserted by
+//! `benches/inference.rs` in quick mode).
 //!
 //! The arena is a plain best-fit free list, not a lifetime-bound slab:
 //! buffers taken from it are ordinary owned `Vec<f32>`s (wrapped in
@@ -25,8 +26,6 @@
 //! overwrite them — every `infer_into` implementation in this workspace
 //! does, and the property tests assert no stale values bleed between
 //! requests.
-//!
-//! [`Layer::infer`]: ../mtlsplit_nn/trait.Layer.html
 
 use crate::tensor::Tensor;
 use mtlsplit_obs as obs;

@@ -6,12 +6,13 @@
 //! and asserts the invariant on every case, printing the offending case on
 //! failure so it can be replayed from the seed.
 
+use mtlsplit_bench::reference::pr3;
 use mtlsplit_data::{MultiTaskDataset, TaskSpec};
 use mtlsplit_models::{Backbone, BackboneConfig, BackboneKind};
 use mtlsplit_nn::{
     AvgPool2d, BatchNorm2d, Conv2d, DepthwiseConv2d, Dropout, Flatten, GlobalAvgPool2d,
     HardSigmoid, HardSwish, InferPlan, Layer, Linear, MaxPool2d, PointwiseConv2d, Relu, RunMode,
-    Sequential, Sigmoid,
+    Sequential, Sigmoid, TensorArena,
 };
 use mtlsplit_serve::{Frame, OpCode};
 use mtlsplit_split::{DeploymentParadigm, Precision, TensorCodec, WorkloadProfile};
@@ -96,17 +97,35 @@ fn kernels_are_bit_identical_across_thread_counts() {
     Parallelism::auto().make_current();
 }
 
+/// Peels a stack into single-layer stacks. Running them one after another,
+/// each on a fresh arena, is the unfused chain: no fusion window, no buffer
+/// reuse between layers.
+fn unfused(mut net: Sequential) -> Vec<Sequential> {
+    let mut layers = Vec::new();
+    while !net.is_empty() {
+        let rest = net.split_off(1);
+        layers.push(net);
+        net = rest;
+    }
+    layers
+}
+
+fn run_unfused(layers: &[Sequential], x: &Tensor) -> Tensor {
+    layers
+        .iter()
+        .fold(x.clone(), |current, layer| layer.infer(&current).unwrap())
+}
+
 /// The planned, zero-allocation inference runtime is bit-identical (`==`)
-/// to the allocating `Layer::infer` path — across layer types (every nn
-/// layer incl. the fusable conv→norm→activation and GEMM→activation
-/// motifs), random input shapes, thread counts {1, 2, 4}, and repeated
-/// arena reuse. Repeats with *changing* batch sizes through one arena also
-/// prove no stale buffer contents bleed between requests.
+/// to the same stack run one layer at a time, each call on a fresh arena —
+/// across layer types (every nn layer incl. the fusable conv→norm→activation
+/// and GEMM→activation motifs), random input shapes, thread counts
+/// {1, 2, 4}, and repeated arena reuse. Repeats with *changing* batch sizes
+/// through one arena also prove no stale buffer contents bleed between
+/// requests.
 #[test]
 fn planned_inference_matches_allocating_path_bitwise() {
-    let mut rng = StdRng::seed_from(0xA12E4A);
-    // Stacks covering every layer type and fusion window. Train-mode
-    // forwards first give batch-norm layers non-trivial running statistics.
+    // Stacks covering every layer type and fusion window.
     let build_stacks = |rng: &mut StdRng| -> Vec<(&'static str, Sequential)> {
         vec![
             (
@@ -148,14 +167,30 @@ fn planned_inference_matches_allocating_path_bitwise() {
             ),
         ]
     };
-    for (name, mut net) in build_stacks(&mut rng) {
+    let mut rng = StdRng::seed_from(0xA12E4A);
+    let seed = rng.next_u64();
+    let reference_stacks = build_stacks(&mut StdRng::seed_from(seed));
+    for ((name, mut net), (_, mut reference)) in build_stacks(&mut StdRng::seed_from(seed))
+        .into_iter()
+        .zip(reference_stacks)
+    {
         let image_input = name != "mlp_heads";
-        // Warm the running statistics (and prove planned inference is
-        // unaffected by training-side caches).
+        // Train-mode forwards first give batch-norm layers non-trivial
+        // running statistics (and prove inference is unaffected by
+        // training-side caches); both copies see the same batch.
         if image_input {
             let warm = Tensor::randn(&[3, 3, 12, 12], 0.2, 1.1, &mut rng);
-            net.forward(&warm, RunMode::train(&mut rng)).unwrap();
+            for stack in [&mut net, &mut reference] {
+                stack
+                    .forward_into(
+                        &warm,
+                        RunMode::train(&mut StdRng::seed_from(1)),
+                        &mut TensorArena::new(),
+                    )
+                    .unwrap();
+            }
         }
+        let reference = unfused(reference);
         let mut plan = InferPlan::new();
         for threads in [1usize, 2, 4] {
             Parallelism::fixed(threads).make_current();
@@ -167,11 +202,11 @@ fn planned_inference_matches_allocating_path_bitwise() {
                     Tensor::randn(&[batch, 12], 0.0, 1.0, &mut rng)
                 };
                 let planned = plan.run(&net, &x).unwrap();
-                let allocating = net.infer(&x).unwrap();
                 assert_eq!(
-                    planned, allocating,
-                    "{name}: planned output diverged (threads={threads}, request={request}, \
-                     batch={batch})"
+                    planned,
+                    run_unfused(&reference, &x),
+                    "{name}: planned output diverged from the unfused chain \
+                     (threads={threads}, request={request}, batch={batch})"
                 );
                 plan.recycle(planned);
             }
@@ -179,19 +214,26 @@ fn planned_inference_matches_allocating_path_bitwise() {
         Parallelism::auto().make_current();
     }
 
-    // The full model path: backbone + per-head planned passes, reusing one
-    // arena across requests, against the layer-wise allocating chain.
-    let mut rng = StdRng::seed_from(77);
-    let backbone = Backbone::new(
-        BackboneConfig::new(BackboneKind::EfficientStyle, 3, 16),
-        &mut rng,
-    )
-    .unwrap();
+    // The full model path: a backbone through one plan, reusing one arena
+    // across requests, against the same backbone peeled into its layers.
+    let build_backbone = || {
+        Backbone::new(
+            BackboneConfig::new(BackboneKind::EfficientStyle, 3, 16),
+            &mut StdRng::seed_from(77),
+        )
+        .unwrap()
+    };
+    let backbone = build_backbone();
+    let peeled = build_backbone();
+    let last = peeled.default_split();
+    let (edge, tail) = peeled.split_at(last).unwrap();
+    assert!(tail.is_empty());
+    let reference = unfused(edge);
     let mut plan = InferPlan::new();
     for batch in [1usize, 2, 1, 3] {
         let x = Tensor::randn(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng);
         let planned = plan.run(&backbone, &x).unwrap();
-        assert_eq!(planned, backbone.infer(&x).unwrap(), "backbone diverged");
+        assert_eq!(planned, run_unfused(&reference, &x), "backbone diverged");
         plan.recycle(planned);
     }
     // After the warm-up request, repeats of the same shapes must be served
@@ -208,6 +250,55 @@ fn planned_inference_matches_allocating_path_bitwise() {
         warmed,
         "steady-state planned inference must not take fresh memory"
     );
+}
+
+/// The independent oracle: the inference bench's MobileNet- and VGG-style
+/// edge stacks and its two serving heads, run through an `InferPlan`, are
+/// bit-identical to the PR-3 layer-wise reference (its own packed GEMM,
+/// per-unit im2col convolutions, separate norm and activation passes), at
+/// several thread counts and batch sizes.
+#[test]
+fn planned_stacks_and_heads_match_the_pr3_reference_bitwise() {
+    let mut rng = StdRng::seed_from(0x93);
+    let mut plan = InferPlan::new();
+    for (label, spec, seed) in [
+        ("mobile", pr3::mobile_spec(), 31),
+        ("vgg", pr3::vgg_spec(), 32),
+    ] {
+        let concrete = pr3::build_concrete(&spec, seed);
+        let net = pr3::build_sequential(&spec, seed);
+        for threads in [1usize, 2] {
+            Parallelism::fixed(threads).make_current();
+            for batch in [1usize, 2] {
+                let x = Tensor::randn(&[batch, 3, 32, 32], 0.0, 1.0, &mut rng);
+                let planned = plan.run(&net, &x).unwrap();
+                assert_eq!(
+                    planned,
+                    pr3::pr3_forward(&concrete, &x),
+                    "{label}: planned diverged from pr3 (threads={threads}, batch={batch})"
+                );
+                plan.recycle(planned);
+            }
+        }
+    }
+    let concrete = pr3::build_concrete_heads(pr3::FEATURES, 11);
+    let boxed = pr3::build_boxed_heads(pr3::FEATURES, 11);
+    for threads in [1usize, 2] {
+        Parallelism::fixed(threads).make_current();
+        for batch in [1usize, 4] {
+            let z = Tensor::randn(&[batch, pr3::FEATURES], 0.0, 1.0, &mut rng);
+            for (index, (head, legacy)) in boxed.iter().zip(&concrete).enumerate() {
+                let planned = plan.run(head.as_ref(), &z).unwrap();
+                assert_eq!(
+                    planned,
+                    pr3::pr3_head(legacy, &z),
+                    "head {index}: planned diverged from pr3 (threads={threads}, batch={batch})"
+                );
+                plan.recycle(planned);
+            }
+        }
+    }
+    Parallelism::auto().make_current();
 }
 
 /// The cross-path determinism guarantee, end to end through the public
